@@ -3,12 +3,12 @@
 An :class:`ArrayModule` generalises :class:`~repro.backend.fft.FFTBackend`
 from "FFTs on host arrays" to "FFTs **plus** the small array namespace the
 batched hot path needs" — ``asarray`` / ``to_host`` / ``zeros`` / ``empty`` /
-``conj`` / ``real`` / ``abs2_sum`` / ``fftshift`` / ``concatenate`` — with a
-device tag and :class:`TransferStats` counters.  That namespace is exactly
-what lets :mod:`repro.engine.batched` run a whole chunk device-resident:
-**one upload per mask chunk, one download per aerial chunk**, every
-intermediate (spectra, kernel products, fields, reductions, upsampling)
-staying on the device.
+``conj`` / ``real`` / ``abs2_sum`` / ``fftshift`` / ``concatenate`` /
+``matmul`` — with a device tag and :class:`TransferStats` counters.  That
+namespace is exactly what lets :mod:`repro.engine.batched` run a whole chunk
+device-resident: **one upload per mask chunk, one download per aerial
+chunk**, every intermediate (spectra, kernel products, fields, reductions,
+upsampling) staying on the device.
 
 Three families of modules ship:
 
@@ -46,6 +46,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .fft import FFTBackend, NumpyFFTBackend, register_backend
+
+#: Byte alignment of each part in :meth:`ArrayModule.asarray_packed`.
+_PACK_ALIGN = 64
 
 
 @dataclass
@@ -88,9 +91,10 @@ class ArrayModule(FFTBackend):
     out (legacy-compatible round-trip, counted in :attr:`transfer_stats`).
 
     Array ops (``zeros`` / ``empty`` / ``conj`` / ``real`` / ``abs2_sum`` /
-    ``fftshift`` / ``concatenate``) create or consume *device* arrays on
-    resident modules and plain ndarrays on host modules; indices, shapes and
-    scalars stay host-side everywhere (they are metadata, not data).
+    ``fftshift`` / ``concatenate`` / ``matmul``) create or consume *device*
+    arrays on resident modules and plain ndarrays on host modules; indices,
+    shapes and scalars stay host-side everywhere (they are metadata, not
+    data).
     """
 
     #: Device tag (``"cpu"``, ``"fakegpu:0"``, ``"cuda:N"``).
@@ -111,6 +115,30 @@ class ArrayModule(FFTBackend):
     def asarray(self, array):
         """Move a host array onto the device (counted); pass device arrays through."""
         raise NotImplementedError
+
+    def asarray_packed(self, arrays) -> tuple:
+        """Upload several host arrays in ONE counted transfer.
+
+        The arrays are packed byte-for-byte into one host buffer (each part
+        64-byte aligned), the buffer goes up in a single :meth:`asarray`,
+        and device-side ``view`` / ``reshape`` recover the parts — bit-exact
+        copies of the inputs.  This is how a kernel bank and the GEMM
+        evaluator's DFT operators share the bank's one memoised upload.
+        """
+        arrays = [np.ascontiguousarray(array) for array in arrays]
+        offsets, total = [], 0
+        for array in arrays:
+            offsets.append(total)
+            total += -(-array.nbytes // _PACK_ALIGN) * _PACK_ALIGN
+        packed = np.zeros(total, dtype=np.uint8)
+        for array, offset in zip(arrays, offsets):
+            packed[offset:offset + array.nbytes] = \
+                array.reshape(-1).view(np.uint8)
+        device = self.asarray(packed)
+        return tuple(
+            device[offset:offset + array.nbytes].view(array.dtype)
+            .reshape(array.shape)
+            for array, offset in zip(arrays, offsets))
 
     def to_host(self, array, out: Optional[np.ndarray] = None):
         """Move a device array back to the host (counted), optionally into ``out``.
@@ -166,6 +194,10 @@ class ArrayModule(FFTBackend):
     def concatenate(self, arrays, axis: int = 0):
         raise NotImplementedError
 
+    def matmul(self, a, b):
+        """Stacked matrix product (``numpy.matmul`` semantics)."""
+        raise NotImplementedError
+
 
 class HostArrayModule(ArrayModule):
     """Pass-through module over a host :class:`FFTBackend`.
@@ -205,6 +237,9 @@ class HostArrayModule(ArrayModule):
     def asarray(self, array):
         return np.asarray(array)
 
+    def asarray_packed(self, arrays) -> tuple:
+        return tuple(np.asarray(array) for array in arrays)
+
     def to_host(self, array, out: Optional[np.ndarray] = None):
         if out is None:
             return np.asarray(array)
@@ -233,6 +268,9 @@ class HostArrayModule(ArrayModule):
 
     def concatenate(self, arrays, axis=0):
         return np.concatenate(arrays, axis=axis)
+
+    def matmul(self, a, b):
+        return np.matmul(a, b)
 
 
 def as_array_module(backend: FFTBackend, like=None) -> ArrayModule:
@@ -316,6 +354,12 @@ class FakeDeviceArray:
 
     def astype(self, dtype):
         return FakeDeviceArray(self._data.astype(dtype))
+
+    def view(self, dtype):
+        return FakeDeviceArray(self._data.view(dtype))
+
+    def reshape(self, *shape):
+        return FakeDeviceArray(self._data.reshape(*shape))
 
     def __len__(self):
         return len(self._data)
@@ -494,6 +538,12 @@ class FakeGpuArrayModule(ArrayModule):
         return FakeDeviceArray(
             np.concatenate([self._unwrap(a) for a in arrays], axis=axis))
 
+    def matmul(self, a, b):
+        # Strict on purpose: a host operand (say, a DFT operator that never
+        # went up with the bank) raises instead of silently mixing.
+        return FakeDeviceArray(np.matmul(FakeDeviceArray._unwrap_operand(a),
+                                         FakeDeviceArray._unwrap_operand(b)))
+
 
 register_backend("fakegpu", lambda workers: FakeGpuArrayModule(workers=workers))
 
@@ -616,5 +666,8 @@ def register_cupy_backend() -> None:
 
         def concatenate(self, arrays, axis=0):
             return cupy.concatenate(arrays, axis=axis)
+
+        def matmul(self, a, b):
+            return cupy.matmul(a, b)
 
     register_backend("cupy", lambda workers: CupyArrayModule(workers=workers))

@@ -45,7 +45,10 @@ from ..backend import (
 from ..optics.resist import ConstantThresholdResist
 from .batched import (
     DEFAULT_MAX_CHUNK_BYTES,
+    DFTOperators,
     batched_aerial_from_kernels,
+    chunk_evaluator,
+    dft_operators,
     effective_chunk_tiles,
 )
 from .cache import KernelBankCache, default_kernel_cache
@@ -70,26 +73,36 @@ from .tiling import (
 #: in device memory.
 DEVICE_BANK_LIMIT = 8
 
-#: (kernel fingerprint, device tag) -> device-resident kernel bank.  The
-#: device-side mirror of :class:`~repro.engine.cache.KernelBankCache`: keyed
-#: by content + device so every engine sharing a bank (and backend module)
-#: shares ONE upload — the transfer-count tests pin "bank uploaded once per
-#: fingerprint, not once per chunk or per batch".
-_DEVICE_BANKS: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
+#: (kernel fingerprint, device tag, operator geometry) -> device-resident
+#: kernel bank + GEMM operators.  The device-side mirror of
+#: :class:`~repro.engine.cache.KernelBankCache`: keyed by content + device so
+#: every engine sharing a bank (and backend module) shares ONE upload — the
+#: transfer-count tests pin "bank uploaded once per fingerprint, not once per
+#: chunk or per batch".
+_DEVICE_BANKS: "OrderedDict[Tuple[str, str, object], tuple]" = OrderedDict()
 
 
-def device_kernel_bank(module, fingerprint: str, kernels: np.ndarray):
-    """The device-resident copy of ``kernels``, uploaded at most once.
+def device_kernel_bank(module, fingerprint: str, kernels: np.ndarray,
+                       operators: Optional[DFTOperators] = None):
+    """``(kernels, operators)`` on the device, uploaded at most once.
 
     ``module`` is a resident :class:`~repro.backend.ArrayModule`; the memo
     key pairs the engine's kernel fingerprint with the module's device tag,
     so distinct devices (or dtypes — the fingerprint hashes dtype + bytes)
-    never share a bank.
+    never share a bank.  The GEMM evaluator's ``operators``, when given, are
+    packed into the bank's single upload (one memo entry per geometry);
+    otherwise the second item is ``None``.
     """
-    key = (fingerprint, f"{module.name}:{module.device}")
+    key = (fingerprint, f"{module.name}:{module.device}",
+           None if operators is None else operators.key)
     bank = _DEVICE_BANKS.get(key)
     if bank is None:
-        bank = module.asarray(kernels)
+        if operators is None:
+            bank = (module.asarray(kernels), None)
+        else:
+            device_kernels, *arrays = module.asarray_packed(
+                (kernels,) + operators.arrays)
+            bank = (device_kernels, operators.with_arrays(arrays))
         _DEVICE_BANKS[key] = bank
         while len(_DEVICE_BANKS) > DEVICE_BANK_LIMIT:
             _DEVICE_BANKS.popitem(last=False)
@@ -298,13 +311,23 @@ class ExecutionEngine:
             self._kernel_fingerprint = digest.hexdigest()
         return self._kernel_fingerprint
 
+    def evaluator(self, mask_shape: Tuple[int, int],
+                  output_shape: Optional[Tuple[int, int]] = None) -> str:
+        """The batched core's evaluator for masks of ``mask_shape``."""
+        return chunk_evaluator(self.kernel_shape, mask_shape,
+                               mask_shape if output_shape is None
+                               else output_shape,
+                               band_limited=self.band_limited)
+
     def tile_cache_context(self, tiling: TilingSpec) -> TileCacheContext:
         """The non-content components of this engine's tile-cache key."""
+        tile = (tiling.tile_px, tiling.tile_px)
         return TileCacheContext(kernel_fingerprint=self.kernel_fingerprint(),
                                 backend=self.backend.name,
                                 precision=self.precision.name,
                                 tile_px=tiling.tile_px,
-                                guard_px=tiling.guard_px)
+                                guard_px=tiling.guard_px,
+                                evaluator=self.evaluator(tile))
 
     # ------------------------------------------------------------------ #
     # imaging
@@ -323,16 +346,22 @@ class ExecutionEngine:
         """
         masks = np.stack([self.precision.as_real(mask) for mask in masks], axis=0) \
             if isinstance(masks, (list, tuple)) else self.precision.as_real(masks)
-        kernels = self.kernels
+        kernels, operators = self.kernels, None
         module = as_array_module(self.backend)
         if module.is_resident:
-            kernels = device_kernel_bank(module, self.kernel_fingerprint(),
-                                         self.kernels)
+            shape = masks.shape[-2:]
+            out_shape = shape if output_shape is None else output_shape
+            if self.evaluator(shape, out_shape) == "gemm":
+                operators = dft_operators(*shape, *out_shape,
+                                          *self.kernel_shape, self.precision)
+            kernels, operators = device_kernel_bank(
+                module, self.kernel_fingerprint(), self.kernels, operators)
         return batched_aerial_from_kernels(
             masks, kernels, output_shape=output_shape,
             band_limited=self.band_limited,
             max_chunk_bytes=self.max_chunk_bytes,
-            backend=self.backend, precision=self.precision, out=out)
+            backend=self.backend, precision=self.precision, out=out,
+            operators=operators)
 
     def aerial(self, mask: np.ndarray) -> np.ndarray:
         """Aerial image of one mask tile.

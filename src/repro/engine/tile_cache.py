@@ -7,12 +7,12 @@ to a tile it imaged a microsecond earlier.  This module memoises *aerial tile
 images* by content: a tile's guard-banded pixels are hashed
 (:func:`tile_digest`), the digest is combined with everything else that
 determines the aerial result — the kernel-bank fingerprint, the FFT backend,
-the precision policy and the tile geometry (:class:`TileCacheContext`) — and
-the imaged tile is stored under that key.  A later tile with the same key is
-served from the cache **bit for bit**: per-tile FFT work is independent of
-batch composition (pinned since the batching PR), so imaging a deduplicated
-sub-batch and scattering the results back is indistinguishable from imaging
-the full batch.
+the precision policy, the tile geometry and the evaluator
+(:class:`TileCacheContext`) — and the imaged tile is stored under that key.
+A later tile with the same key is served from the cache **bit for bit**:
+per-tile work (FFTs, per-slice ``matmul``) is independent of batch
+composition (pinned), so imaging a deduplicated sub-batch and scattering the
+results back is indistinguishable from imaging the full batch.
 
 Two tiers, mirroring :class:`~repro.engine.cache.KernelBankCache`:
 
@@ -71,7 +71,10 @@ class TileCacheContext:
     Two tiles may share identical pixels yet image differently when any of
     these differ, so all of them join the cache key: the kernel-bank
     fingerprint (optics + truncation order + band limiting), the FFT backend
-    name, the precision policy name, and the tile geometry.
+    name, the precision policy name, the tile geometry, and the batched
+    core's evaluator (:func:`~repro.engine.batched.chunk_evaluator` — the
+    GEMM and FFT evaluators agree only to ~1e-15, so a disk tier written by
+    one must never serve the other).
     """
 
     kernel_fingerprint: str
@@ -79,11 +82,12 @@ class TileCacheContext:
     precision: str
     tile_px: int
     guard_px: int
+    evaluator: str = "fft"
 
     def key_prefix(self) -> str:
         return (f"{self.kernel_fingerprint}|backend={self.backend}"
                 f"|prec={self.precision}|tile={self.tile_px}"
-                f"|guard={self.guard_px}|")
+                f"|guard={self.guard_px}|eval={self.evaluator}|")
 
 
 @dataclass

@@ -15,7 +15,10 @@ Pinned guarantees:
 * ``window_is_empty`` agrees with ``read_window(...).any()`` on both bundled
   readers, including bucket-grid candidates that do not really intersect,
 * the disk tier round-trips imaged tiles to a fresh cache instance, and the
-  LRU tier evicts oldest-first under a byte budget, and
+  LRU tier evicts oldest-first under a byte budget,
+* the batched core's evaluator is part of the key, so a disk entry written
+  under the pre-evaluator prefix misses instead of serving a tile from the
+  other evaluator, and
 * a campaign store accumulates the sweep's cache counters and the rendered
   report shows them.
 """
@@ -28,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import ComputeConfig
 from repro.engine import (
     ZERO_TILE_DIGEST,
     ExecutionEngine,
@@ -314,6 +318,44 @@ class TestTileResultCache:
         resolved = resolve_tile_cache(None)
         assert resolved is not None
         assert resolved.cache_dir == "/tmp/somewhere"
+
+
+class TestEvaluatorInCacheKey:
+    """The batched core's evaluator joins the key: the GEMM and FFT
+    evaluators agree only to ~1e-15, so a disk tier persisted by one must
+    never serve the other."""
+
+    def test_evaluators_get_distinct_prefixes(self):
+        gemm = dataclasses.replace(CONTEXT, evaluator="gemm")
+        assert "|eval=gemm|" in gemm.key_prefix()
+        assert gemm.key_prefix() != CONTEXT.key_prefix()
+
+    def test_disk_entry_under_pre_evaluator_prefix_misses(self, tmp_path):
+        kernels = np.random.default_rng(5).standard_normal((3, 7, 7)) + 0.5j
+        engine = ExecutionEngine(kernels, tile_size_px=64,
+                                 compute=ComputeConfig(fft_backend="numpy",
+                                                       tile_cache=False))
+        tiling = TilingSpec(tile_px=64, guard_px=0)
+        context = engine.tile_cache_context(tiling)
+        assert context.evaluator == "gemm"
+        tiles = (np.random.default_rng(6).random((1, 64, 64)) > 0.5) \
+            .astype(float)
+        digest = tile_digest(tiles[0])
+        # What a build without the evaluator in its key persisted (an
+        # FFT-evaluator tile; a sentinel value makes a wrong hit obvious).
+        old_key = (f"{context.kernel_fingerprint}|backend={context.backend}"
+                   f"|prec={context.precision}|tile={context.tile_px}"
+                   f"|guard={context.guard_px}|{digest}")
+        TileResultCache(cache_dir=str(tmp_path))._save_to_disk(
+            old_key, np.full((64, 64), -1.0))
+        cache = TileResultCache(cache_dir=str(tmp_path))
+        image = counting(engine.aerial_batch)
+        out = cache.image_tile_batch(tiles, [digest], image, context)
+        assert cache.stats.misses == 1 and cache.stats.disk_loads == 0
+        assert len(image.batches) == 1
+        np.testing.assert_array_equal(out, engine.aerial_batch(tiles))
+        # The stale file is still there: it was skipped, not overwritten.
+        assert cache._load_from_disk(old_key)[0, 0] == -1.0
 
 
 class TestCachedImagingBitForBit:
