@@ -1,19 +1,21 @@
-"""Micro-benchmark — out-of-core streaming stitch vs the in-memory layout path.
+"""Micro-benchmark — the batched ``image_layout`` loop vs whole-stack imaging.
 
-The claim of :mod:`repro.engine.streaming` is *memory*, not speed: the
-in-memory path materialises the full guard-banded tile stack plus the full
-aerial tile stack (O(layout area)), while the streaming path holds one
-bounded tile batch at a time (O(tile-batch)).  This benchmark measures both
-paths' **peak RSS in fresh subprocesses** (`measure_peak_memory`; the OS
-high-water mark is per-process-lifetime, so each candidate gets its own
-interpreter) on a layout at least 4x the engine's chunk budget, and records
+The claim of :mod:`repro.engine.streaming` is *memory*, not speed: imaging
+the whole layout as one batch (cut every tile, image the stack, stitch —
+rebuilt here from the tiling primitives) materialises the full
+guard-banded tile stack plus the full aerial tile stack (O(layout area)),
+while ``image_layout`` holds one bounded tile batch at a time
+(O(tile-batch)).  This benchmark measures both paths' **peak RSS in fresh
+subprocesses** (`measure_peak_memory`; the OS high-water mark is
+per-process-lifetime, so each candidate gets its own interpreter) on a
+layout at least 4x the engine's chunk budget, and records
 
 * the peak RAM of each path *above* a no-imaging baseline subprocess that
   builds the same engine and layout (isolating what imaging itself
   allocates),
-* ``peak_memory_ratio`` — in-memory / streaming peak — asserted ``>= 4`` and
-  gated in CI by ``benchmarks/compare_trajectory.py``, and
-* wall-clock of both paths (streaming should cost little: same FFT work,
+* ``peak_memory_ratio`` — whole-stack / ``image_layout`` peak — asserted
+  ``>= 4`` and gated in CI by ``benchmarks/compare_trajectory.py``, and
+* wall-clock of both paths (batching should cost little: same FFT work,
   incremental writes).
 
 Results land in ``benchmarks/results/streaming.{txt,json}``.
@@ -24,7 +26,12 @@ import os
 import numpy as np
 
 from repro.analysis.throughput import measure_peak_memory
-from repro.engine import ExecutionEngine, KernelBankCache
+from repro.engine import (
+    ExecutionEngine,
+    KernelBankCache,
+    extract_tiles,
+    stitch_tiles,
+)
 from repro.optics import OpticsConfig
 from repro.optics.source import AnnularSource
 
@@ -68,14 +75,23 @@ def _run_baseline(cache_dir: str, shape) -> None:
     _build_layout(shape)
 
 
+def _whole_stack(engine: ExecutionEngine, layout: np.ndarray) -> np.ndarray:
+    """Every tile in one batch, then one stitch (the O(layout) baseline)."""
+    tiling = engine.resolve_tiling(None, None, GUARD)
+    tiles, placements = extract_tiles(layout, tiling)
+    aerial = stitch_tiles(engine.aerial_batch(tiles), placements,
+                          *layout.shape, tiling)
+    engine.resist_model.develop(aerial)
+    return aerial
+
+
 def _run_in_memory(cache_dir: str, shape) -> None:
-    _build_engine(cache_dir).image_layout(_build_layout(shape),
-                                          guard_px=GUARD)
+    _whole_stack(_build_engine(cache_dir), _build_layout(shape))
 
 
 def _run_streaming(cache_dir: str, shape) -> None:
     _build_engine(cache_dir).image_layout(_build_layout(shape),
-                                          guard_px=GUARD, streaming=True)
+                                          guard_px=GUARD)
 
 
 def test_streaming_peak_memory(preset, record_output, record_json, tmp_path):
@@ -85,9 +101,9 @@ def test_streaming_peak_memory(preset, record_output, record_json, tmp_path):
 
     # Correctness stays pinned at bench scale too (cheap, small slice).
     small = _build_layout((4 * TILE, 2 * TILE))
-    reference = engine.image_layout(small, guard_px=GUARD)
-    streamed = engine.image_layout(small, guard_px=GUARD, streaming=True)
-    np.testing.assert_array_equal(streamed.aerial, reference.aerial)
+    streamed = engine.image_layout(small, guard_px=GUARD)
+    np.testing.assert_array_equal(streamed.aerial,
+                                  _whole_stack(engine, small))
 
     baseline = measure_peak_memory(_run_baseline, cache_dir, shape)
     in_memory = measure_peak_memory(_run_in_memory, cache_dir, shape)
@@ -99,16 +115,16 @@ def test_streaming_peak_memory(preset, record_output, record_json, tmp_path):
     ratio = in_memory_delta / streaming_delta
 
     lines = [
-        f"streaming vs in-memory image_layout "
+        f"batched image_layout vs whole-stack imaging "
         f"({shape[0]}x{shape[1]} px, {TILE} px tiles, guard {GUARD} px, "
         f"chunk budget {CHUNK_BYTES / 2**20:.0f} MiB, "
         f"layout {layout_bytes / CHUNK_BYTES:.1f}x the budget)",
         f"  baseline  (no imaging): peak {baseline.peak_mib:8.1f} MiB",
-        f"  in-memory             : peak {in_memory.peak_mib:8.1f} MiB "
+        f"  whole-stack           : peak {in_memory.peak_mib:8.1f} MiB "
         f"(+{in_memory_delta / 2**20:7.1f} MiB)  {in_memory.elapsed_s:6.2f} s",
-        f"  streaming             : peak {streaming.peak_mib:8.1f} MiB "
+        f"  image_layout          : peak {streaming.peak_mib:8.1f} MiB "
         f"(+{streaming_delta / 2**20:7.1f} MiB)  {streaming.elapsed_s:6.2f} s",
-        f"  peak-memory ratio (in-memory / streaming): {ratio:.2f}x",
+        f"  peak-memory ratio (whole-stack / image_layout): {ratio:.2f}x",
         f"  measured in fresh subprocesses: "
         f"{in_memory.in_subprocess and streaming.in_subprocess}",
     ]

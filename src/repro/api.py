@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .backend import ComputeConfig
-from .engine.execution import LayoutImage
+from .engine.streaming import LayoutImage
 from .engine.sharded import EngineSpec, ShardedExecutor
 from .layout.sources import load_layout_source
 from .optics.pupil import Pupil
@@ -65,12 +65,11 @@ def image_layout(layout, optics: Optional[OpticsConfig] = None, *,
                  compute: Optional[ComputeConfig] = None,
                  tile_px: Optional[int] = None,
                  guard_px: Optional[int] = None,
-                 streaming: bool = False,
                  num_workers: int = 1,
                  cache_dir: Optional[str] = None) -> LayoutImage:
     """Image one layout (array or file path) at one focus setting.
 
-    Returns the engine's :class:`~repro.engine.execution.LayoutImage`
+    Returns the engine's :class:`~repro.engine.streaming.LayoutImage`
     (aerial + resist + tiling metadata).  ``num_workers > 1`` shards tile
     batches over a process pool; either way results are bit-for-bit the
     serial output.
@@ -85,7 +84,7 @@ def image_layout(layout, optics: Optional[OpticsConfig] = None, *,
                                compute=compute)
     try:
         return executor.image_layout(spec, layout, tile_px=tile_px,
-                                     guard_px=guard_px, streaming=streaming)
+                                     guard_px=guard_px)
     finally:
         executor.close()
 

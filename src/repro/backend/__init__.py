@@ -32,7 +32,7 @@ accepted through a deprecation shim.
 Usage
 -----
 >>> import numpy as np
->>> from repro.backend import get_backend, resolve_precision
+>>> from repro.backend import ComputeConfig, get_backend, resolve_precision
 >>> backend = get_backend("numpy")           # or get_backend() = env/auto
 >>> backend.rfft2(np.ones((8, 8)), norm="ortho").shape   # half spectrum
 (8, 5)
@@ -42,8 +42,8 @@ dtype('float32')
 >>> np.dtype(policy.complex_dtype)           # ... complex64 spectra
 dtype('complex64')
 >>> from repro.engine import ExecutionEngine
->>> engine = ExecutionEngine(np.ones((1, 3, 3)), fft_backend="numpy",
-...                          precision="float32")
+>>> engine = ExecutionEngine(np.ones((1, 3, 3)), compute=ComputeConfig(
+...     fft_backend="numpy", precision="float32"))
 >>> engine.backend.name, engine.kernels.dtype
 ('numpy', dtype('complex64'))
 

@@ -10,9 +10,9 @@ Subcommands cover the typical library workflow without writing any Python:
   report how well a checkpoint reproduces it (sanity check),
 * ``image-layout`` — image an arbitrarily sized layout raster (synthetic or
   loaded from ``.npy``/``.npz``) through the batched, guard-banded tiling
-  engine and save the stitched aerial / resist images; ``--streaming`` /
-  ``--out DIR`` image out-of-core in bounded-memory batches stitched
-  incrementally into ``.npy`` memmaps,
+  engine in bounded-memory tile batches and save the stitched aerial /
+  resist images; ``--out DIR`` stitches them incrementally into ``.npy``
+  memmaps,
 * ``sweep-window`` — run a focus x dose process-window qualification campaign
   over an arbitrary layout through the sweep layer, sharded across worker
   processes, and print the focus-exposure matrix + window summary;
@@ -187,7 +187,6 @@ def command_image_layout(arguments) -> int:
         start = time.perf_counter()
         result = engine.image_layout(mask, tile_px=arguments.tile_size,
                                      guard_px=guard_px,
-                                     streaming=arguments.streaming,
                                      out_dir=arguments.out or None)
         elapsed = time.perf_counter() - start
     else:
@@ -203,15 +202,13 @@ def command_image_layout(arguments) -> int:
             result = executor.image_layout(spec, mask,
                                            tile_px=arguments.tile_size,
                                            guard_px=guard_px,
-                                           streaming=arguments.streaming,
                                            out_dir=arguments.out or None)
             elapsed = time.perf_counter() - start
 
     is_reader = hasattr(mask, "read_window")
     height, width = mask.shape
     area_um2 = height * width * (arguments.pixel_size_nm / 1000.0) ** 2
-    mode = "streamed" if (arguments.streaming or arguments.out or is_reader) \
-        else "imaged"
+    mode = "streamed" if (arguments.out or is_reader) else "imaged"
     print(f"{mode} {height}x{width} px layout "
           f"({result.num_tiles} tiles of {result.tiling.tile_px} px, "
           f"guard {result.tiling.guard_px} px) in {elapsed:.2f} s "
@@ -558,13 +555,12 @@ def build_parser() -> argparse.ArgumentParser:
         "image-layout", help="image an arbitrary layout via batched guard-banded tiling",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="examples:\n"
-               "  # in-memory imaging, save the stitched result as npz\n"
+               "  # image and save the stitched result as npz\n"
                "  repro image-layout --width 1024 --height 768 --output chip.npz\n"
-               "  # out-of-core: stream tile batches, stitch into .npy memmaps\n"
-               "  repro image-layout --streaming --width 8192 --height 8192 \\\n"
-               "      --out chip_dir\n"
-               "  # both: bounded-memory imaging plus an npz copy\n"
-               "  repro image-layout --streaming --out chip_dir --output chip.npz\n")
+               "  # out-of-core: stitch into .npy memmaps\n"
+               "  repro image-layout --width 8192 --height 8192 --out chip_dir\n"
+               "  # both: memmaps plus an npz copy\n"
+               "  repro image-layout --out chip_dir --output chip.npz\n")
     _add_common(image_layout)
     image_layout.add_argument("--input",
                               help="load a layout instead of synthesizing one: "
@@ -586,14 +582,10 @@ def build_parser() -> argparse.ArgumentParser:
                                    "default: the engine's annular source")
     image_layout.add_argument("--output", default="",
                               help="output .npz path (this and/or --out)")
-    image_layout.add_argument("--streaming", action="store_true",
-                              help="generator-fed tiles, bounded-memory batches, "
-                                   "incremental stitch: O(tile-batch) RAM, "
-                                   "bit-for-bit the in-memory result")
     image_layout.add_argument("--out", default="",
-                              help="stream the stitched aerial/resist into .npy "
-                                   "memmaps under this directory (implies "
-                                   "--streaming; see repro.engine.streaming)")
+                              help="stitch the aerial/resist into .npy memmaps "
+                                   "under this directory (see "
+                                   "repro.engine.streaming)")
     _add_compute_options(image_layout)
     image_layout.set_defaults(handler=command_image_layout)
 

@@ -14,14 +14,14 @@ throughput benchmarks — runs through this package:
   arbitrary ``(H, W)`` layouts,
 * :mod:`repro.engine.execution` — the :class:`ExecutionEngine` facade tying
   the three together,
-* :mod:`repro.engine.streaming` — out-of-core layout imaging: generator-fed
-  tile batches, bounded-memory imaging, incremental stitch into preallocated
-  (optionally memmapped) outputs — bit-for-bit the in-memory result,
+* :mod:`repro.engine.streaming` — the one layout-imaging loop behind every
+  ``image_layout``: bounded tile batches, tile-cache dedup, a pluggable
+  runner and incremental stitch into (optionally memmapped) outputs,
 * :mod:`repro.engine.sharded` — multiprocess sharding of tile batches
   (:class:`ShardedExecutor`), with workers warmed from the disk-backed
   kernel cache, a deterministic bit-identical stitch order, and
   (condition, shard) campaign scheduling over one shared pool
-  (:meth:`ShardedExecutor.run_conditions` / ``campaign_aerials``),
+  (:meth:`ShardedExecutor.run_conditions`),
 * :mod:`repro.engine.scheduler` — the condition-level task scheduling seam
   (:class:`Scheduler` / :class:`TaskSpec`): serial, pool and work-stealing
   implementations (selected via ``scheduler=`` / ``REPRO_SCHEDULER``), plus
@@ -80,7 +80,7 @@ from .cache import (
     default_kernel_cache,
     optics_fingerprint,
 )
-from .execution import ExecutionEngine, LayoutImage
+from .execution import ExecutionEngine
 from .scheduler import (
     DEFAULT_SCHEDULER,
     SCHEDULERS,
@@ -95,6 +95,7 @@ from .scheduler import (
 )
 from .sharded import EngineSpec, ShardedExecutor, available_workers
 from .streaming import (
+    LayoutImage,
     iter_tile_batches,
     open_layout_dir,
     stream_image_layout,

@@ -344,7 +344,7 @@ def batch_chunk_size(batch: int, order: int, height: int, width: int,
     if max_chunk_bytes <= 0:
         return batch
     per_mask = max(1, order * height * width * itemsize)
-    return int(np.clip(max_chunk_bytes // per_mask, 1, max(batch, 1)))
+    return int(min(max(max_chunk_bytes // per_mask, 1), max(batch, 1)))
 
 
 def effective_chunk_tiles(batch: int, kernel_shape: Tuple[int, int, int],
@@ -355,9 +355,9 @@ def effective_chunk_tiles(batch: int, kernel_shape: Tuple[int, int, int],
 
     Bounds BOTH per-chunk intermediates: the ``(chunk, r, work_h, work_w)``
     kernel-product stack and — on the band-limited fast path — the
-    ``(chunk, out_h, out_w)`` complex upsampling spectra.  The streaming
-    layout path sizes its tile batches with this same arithmetic, so its
-    peak memory is one chunk of the in-memory path, no more.
+    ``(chunk, out_h, out_w)`` complex upsampling spectra.  Layout imaging
+    sizes its tile batches with this same arithmetic, so its peak memory is
+    one chunk, no more.
     """
     order, n, m = kernel_shape
     use_fast = band_limited and 2 * n <= out_h and 2 * m <= out_w

@@ -7,8 +7,8 @@ learned Nitho kernels, anything of shape ``(r, n, m)`` — and provides:
 * vectorised single-tile and batched imaging (:meth:`aerial`,
   :meth:`aerial_batch`, :meth:`resist`, :meth:`resist_batch`) built on
   :mod:`repro.engine.batched`,
-* large-layout imaging (:meth:`image_layout`) via the guard-banded tiling
-  pipeline in :mod:`repro.engine.tiling`, lifting the historical
+* large-layout imaging (:meth:`image_layout`) through the guard-banded
+  tiling loop in :mod:`repro.engine.streaming`, lifting the historical
   "exactly one tile" restriction,
 * construction from an optics description (:meth:`for_optics`) through the
   process-wide kernel-bank cache in :mod:`repro.engine.cache`, so the TCC +
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -52,16 +51,9 @@ from .batched import (
     effective_chunk_tiles,
 )
 from .cache import KernelBankCache, default_kernel_cache
-from .streaming import stream_image_layout
+from .streaming import LayoutImage, stream_image_layout
 from .tile_cache import TileCacheContext, resolve_tile_cache
-from .tiling import (
-    TilingSpec,
-    default_guard_px,
-    extract_tile_batch,
-    extract_tiles,
-    plan_tiles,
-    stitch_tiles,
-)
+from .tiling import TilingSpec, default_guard_px
 
 
 # --------------------------------------------------------------------------- #
@@ -109,26 +101,6 @@ def device_kernel_bank(module, fingerprint: str, kernels: np.ndarray,
     else:
         _DEVICE_BANKS.move_to_end(key)
     return bank
-
-
-@dataclass(frozen=True)
-class LayoutImage:
-    """Result of imaging a full layout: stitched aerial + resist + provenance.
-
-    ``aerial`` / ``resist`` are plain arrays on the in-memory path and
-    ``numpy.memmap`` views when the layout was streamed into an ``out_dir``
-    (recorded here; ``None`` otherwise).
-    """
-
-    aerial: np.ndarray
-    resist: np.ndarray
-    tiling: TilingSpec
-    num_tiles: int
-    out_dir: Optional[str] = None
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self.aerial.shape
 
 
 class ExecutionEngine:
@@ -341,7 +313,7 @@ class ExecutionEngine:
         process-wide :func:`device_kernel_bank` memo — one upload per
         (fingerprint, device), shared by every engine and every batch — and
         each chunk pays exactly one mask upload + one intensity download.
-        ``out`` optionally receives the results (the streaming path's
+        ``out`` optionally receives the results (:meth:`image_layout`'s
         reusable staging buffer); contents are identical either way.
         """
         masks = np.stack([self.precision.as_real(mask) for mask in masks], axis=0) \
@@ -404,11 +376,11 @@ class ExecutionEngine:
         return TilingSpec(tile_px=int(tile_px), guard_px=int(guard_px))
 
     def stream_batch_tiles(self, tiling: TilingSpec) -> int:
-        """Default tiles-per-batch of the streaming path for this engine.
+        """Default tiles-per-batch of :meth:`image_layout` for this engine.
 
         Exactly the chunk size :meth:`aerial_batch` would split a large batch
         into internally (the byte-denominated ``max_chunk_bytes`` budget), so
-        streaming adds no extra chunking and peak RAM is one chunk.
+        batching adds no extra chunking and peak RAM is one chunk.
         """
         return max(1, effective_chunk_tiles(
             np.iinfo(np.int32).max, self.kernels.shape,
@@ -421,20 +393,22 @@ class ExecutionEngine:
                      tiling: Optional[TilingSpec] = None,
                      tile_px: Optional[int] = None,
                      guard_px: Optional[int] = None,
-                     streaming: bool = False,
                      out_dir: Optional[str] = None,
                      batch_tiles: Optional[int] = None) -> LayoutImage:
         """Image an arbitrary ``(H, W)`` layout by guard-banded tiling.
+
+        Tiles are cut, imaged and stitched one bounded batch at a time by
+        :func:`~repro.engine.streaming.stream_image_layout`, so peak RAM is
+        O(one tile batch), not O(layout).
 
         Parameters
         ----------
         layout:
             A dense ``(H, W)`` raster, a ``numpy.memmap``, or a windowed
             :class:`repro.layout.LayoutReader` (anything with a
-            ``read_window`` method).  Readers always image through the
-            streaming path — tiles are rasterised on demand and the dense
-            raster never exists — and produce bit-for-bit the dense-array
-            result.
+            ``read_window`` method).  Readers rasterise tiles on demand —
+            the dense raster never exists — and produce bit-for-bit the
+            dense-array result.
         tiling:
             Explicit tile geometry; overrides ``tile_px`` / ``guard_px``.
         tile_px:
@@ -448,71 +422,30 @@ class ExecutionEngine:
             Guard band per side; defaults to :func:`default_guard_px`
             (one kernel window), the scale over which partially coherent
             cross-talk decays.
-        streaming:
-            Produce tiles from a generator, image in bounded batches and
-            stitch incrementally (:mod:`repro.engine.streaming`): peak RAM
-            is O(one tile batch) instead of O(layout), and the result is
-            bit-for-bit the in-memory result.  Implied by ``out_dir``.
         out_dir:
-            Stream the stitched aerial / resist into ``.npy`` memmaps under
-            this directory (see the :mod:`repro.engine.streaming` docstring
-            for the layout), so even the output needn't fit in RAM.
+            Stitch the aerial / resist into ``.npy`` memmaps under this
+            directory (see the :mod:`repro.engine.streaming` docstring for
+            the layout), so even the output needn't fit in RAM.
         batch_tiles:
-            Streamed tiles per batch; defaults to :meth:`stream_batch_tiles`
-            (the batched core's own chunk size).
+            Tiles per batch; defaults to :meth:`stream_batch_tiles` (the
+            batched core's own chunk size).
         """
-        is_reader = hasattr(layout, "read_window")
-        if not is_reader:
-            # Readers rasterise per window; their tiles are cast per batch
-            # inside aerial_batch instead of up front.
-            layout = self.precision.as_real(layout)
-        if len(layout.shape) != 2:
-            raise ValueError("layout must be a 2-D image")
         tiling = self.resolve_tiling(tiling, tile_px, guard_px)
+        if batch_tiles is None:
+            batch_tiles = self.stream_batch_tiles(tiling)
+        image_batch = self.aerial_batch
+        module = as_array_module(self.backend)
+        if module.is_resident and self.tile_cache is None:
+            # Downloads land in one reusable (pinned, where supported) host
+            # buffer sized by the first, largest batch: the loop copies each
+            # batch out before the next, but a tile cache keeps row views.
+            staging = []
 
-        if is_reader or streaming or out_dir is not None \
-                or batch_tiles is not None:
-            if batch_tiles is None:
-                batch_tiles = self.stream_batch_tiles(tiling)
-            image_batch = self.aerial_batch
-            module = as_array_module(self.backend)
-            if module.is_resident and self.tile_cache is None:
-                # Stage every device->host download through one reusable
-                # (pinned, where the module supports it) host buffer instead
-                # of allocating a fresh batch-sized array per batch.  The
-                # streamer fully consumes each batch (stitch + develop copy
-                # out of it) before requesting the next, so reuse is safe;
-                # with a tile cache it is NOT (TileResultCache retains row
-                # views of the returned batch), hence the gate above.
-                staging = module.empty_host(
-                    (batch_tiles, tiling.tile_px, tiling.tile_px),
-                    self.precision.real_dtype)
-
-                def image_batch(tiles, _staging=staging):
-                    return self.aerial_batch(tiles, out=_staging[:len(tiles)])
-            aerial, resist, num_tiles = stream_image_layout(
-                layout, tiling, image_batch, self.resist_model.develop,
-                self.precision.real_dtype, batch_tiles, out_dir=out_dir,
-                meta={"backend": self.backend.name,
-                      "precision": self.precision.name},
-                tile_cache=self.tile_cache,
-                cache_context=self.tile_cache_context(tiling)
-                if self.tile_cache is not None else None)
-            return LayoutImage(aerial=aerial, resist=resist, tiling=tiling,
-                               num_tiles=num_tiles, out_dir=out_dir)
-
-        height, width = layout.shape
-        if self.tile_cache is not None:
-            placements = plan_tiles(height, width, tiling)
-            tiles, digests = extract_tile_batch(layout, placements, tiling,
-                                                with_digests=True)
-            aerial_tiles = self.tile_cache.image_tile_batch(
-                tiles, digests, self.aerial_batch,
-                self.tile_cache_context(tiling))
-        else:
-            tiles, placements = extract_tiles(layout, tiling)
-            aerial_tiles = self.aerial_batch(tiles)
-        aerial = stitch_tiles(aerial_tiles, placements, height, width, tiling)
-        resist = self.resist_model.develop(aerial)
-        return LayoutImage(aerial=aerial, resist=resist, tiling=tiling,
-                           num_tiles=len(placements))
+            def image_batch(tiles):
+                if not staging:
+                    staging.append(module.empty_host(
+                        tiles.shape, self.precision.real_dtype))
+                return self.aerial_batch(tiles, out=staging[0][:len(tiles)])
+        return stream_image_layout(layout, self, tiling, image_batch,
+                                   batch_tiles, out_dir=out_dir,
+                                   tile_cache=self.tile_cache)

@@ -1,22 +1,24 @@
-"""Out-of-core layout imaging: generator-fed tiles, bounded batches, memmap stitch.
+"""Layout imaging: the one loop from a layout to stitched aerial / resist rasters.
 
-The in-memory path (:meth:`~repro.engine.execution.ExecutionEngine.image_layout`)
-materialises the full guard-banded tile stack ``(N, tile, tile)``, images it,
-holds the full aerial tile stack, and only then stitches — peak memory grows
-linearly with layout area.  This module is the same pipeline restructured as a
-stream so an arbitrarily large layout images in **O(tile-batch) RAM**:
+Both ``image_layout`` implementations — the engine's and the sharded
+executor's — run :func:`stream_image_layout`, which images an arbitrarily
+large layout in **O(tile-batch) RAM**:
 
 1. tile *placements* are planned up front (cheap metadata, no pixels),
 2. a generator cuts guard-banded tiles for one bounded batch of placements at
-   a time (:func:`iter_tile_batches`) — the full tile stack never exists,
-3. each batch is imaged through the ordinary batched core (or a sharded
-   executor), and
-4. each batch's interior cores are stitched **incrementally** into a
-   preallocated output — a plain array, or a ``numpy.memmap`` when an
-   ``out_dir`` is given, so even the stitched result needn't fit in RAM.
+   a time (:func:`iter_tile_batches`) — the full tile stack never exists.
+   Dense inputs are cut window-by-window straight into the engine's real
+   dtype, so even a ``uint8`` memmap is never cast wholesale,
+3. an optional tile-result cache reduces each batch to its unique contents,
+4. the batch is imaged by the caller's *runner* — an engine's
+   ``aerial_batch``, or a sharded executor's — and
+5. each batch's interior cores are stitched **incrementally** into a
+   preallocated output — a plain array (developed in one pass at the end), or
+   a ``numpy.memmap`` when an ``out_dir`` is given (developed batch by batch),
+   so even the stitched result needn't fit in RAM.
 
-Because every batch is fully consumed (stitched + developed) before the next
-one is requested, a device-resident engine passes a single reusable host
+Because every batch is fully consumed (copied out) before the next one is
+requested, a device-resident engine passes a single reusable host
 staging buffer as ``aerial_batch``'s ``out=`` — downloads land in pinned
 memory (where the backend provides it) and the per-batch host allocation
 disappears; ``ExecutionEngine.image_layout`` wires this up automatically.
@@ -24,12 +26,12 @@ disappears; ``ExecutionEngine.image_layout`` wires this up automatically.
 Bit-for-bit guarantee
 ---------------------
 Per-tile FFT work is independent of how the batch axis is chunked (the
-invariant pinned since PR 1 by ``tests/test_engine.py``), every layout pixel
-belongs to exactly one tile core, and the default batch size is exactly the
-chunk size the in-memory path would have used internally
-(:func:`repro.engine.batched.effective_chunk_tiles`).  Streaming therefore
-reproduces the in-memory stitched aerial **bit for bit** across guard bands,
-backends and precisions — pinned by ``tests/test_streaming.py``.
+invariant pinned by ``tests/test_engine.py``), every layout pixel
+belongs to exactly one tile core, and resist development is elementwise.
+The stitched result is therefore **bit for bit** what imaging the whole
+tile stack at once and stitching it would give, whatever the batch size,
+guard band, backend or precision — pinned by ``tests/test_streaming.py``
+against a reference rebuilt from the tiling primitives.
 
 Memmap directory layout (``out_dir``)
 -------------------------------------
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,6 +69,26 @@ from .tiling import (
 AERIAL_FILE = "aerial.npy"
 RESIST_FILE = "resist.npy"
 META_FILE = "meta.json"
+
+
+@dataclass(frozen=True)
+class LayoutImage:
+    """Result of imaging a full layout: stitched aerial + resist + provenance.
+
+    ``aerial`` / ``resist`` are plain arrays, or ``numpy.memmap`` views when
+    the layout was imaged into an ``out_dir`` (recorded here; ``None``
+    otherwise).
+    """
+
+    aerial: np.ndarray
+    resist: np.ndarray
+    tiling: TilingSpec
+    num_tiles: int
+    out_dir: Optional[str] = None
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return self.aerial.shape
 
 
 def iter_tile_batches(layout,
@@ -91,75 +114,79 @@ def iter_tile_batches(layout,
     for start in range(0, len(placements), batch_tiles):
         subset = list(placements[start:start + batch_tiles])
         if with_digests:
-            tiles, digests = extract_tile_batch(layout, subset, spec,
-                                                with_digests=True)
-            yield tiles, digests, subset
+            # Unpacked in place: a suspended generator keeps no reference to
+            # the batch, so the consumer can free its masks early.
+            yield (*extract_tile_batch(layout, subset, spec,
+                                       with_digests=True), subset)
         else:
             yield extract_tile_batch(layout, subset, spec), subset
 
 
 def _preallocate(out_dir: Optional[str], name: str, shape: Tuple[int, int],
                  dtype) -> np.ndarray:
-    """A zeroed ``(H, W)`` output: in-memory, or a ``.npy`` memmap under ``out_dir``."""
+    """An ``(H, W)`` output: in-memory, or a ``.npy`` memmap under ``out_dir``."""
     if out_dir is None:
-        return np.zeros(shape, dtype=dtype)
+        return np.empty(shape, dtype=dtype)  # the tile cores cover every pixel
     os.makedirs(out_dir, exist_ok=True)
-    out = np.lib.format.open_memmap(os.path.join(out_dir, name), mode="w+",
-                                    dtype=np.dtype(dtype), shape=shape)
-    return out
+    return np.lib.format.open_memmap(os.path.join(out_dir, name), mode="w+",
+                                     dtype=np.dtype(dtype), shape=shape)
 
 
-def stream_image_layout(layout, tiling: TilingSpec,
+def stream_image_layout(layout, engine, tiling: TilingSpec,
                         image_batch: Callable[[np.ndarray], np.ndarray],
-                        develop: Callable[[np.ndarray], np.ndarray],
-                        real_dtype, batch_tiles: int,
-                        out_dir: Optional[str] = None,
-                        meta: Optional[dict] = None,
-                        tile_cache=None, cache_context=None,
-                        ) -> Tuple[np.ndarray, np.ndarray, int]:
+                        batch_tiles: int, out_dir: Optional[str] = None,
+                        meta: Optional[dict] = None, tile_cache=None,
+                        ) -> LayoutImage:
     """Image a layout tile-stream into preallocated aerial / resist rasters.
 
     Parameters
     ----------
+    layout:
+        A dense ``(H, W)`` array or ``numpy.memmap`` (cut into tiles of the
+        engine's real dtype window by window, never cast as a whole), or a
+        windowed layout reader (which keeps its own window dtype).
+    engine:
+        The :class:`~repro.engine.execution.ExecutionEngine` the result
+        follows: its precision sets the output dtype, its resist model
+        develops the resist (elementwise, so per-batch development equals
+        whole-raster development exactly), and it keys the tile cache.
     image_batch:
-        ``(B, tile, tile) -> (B, tile, tile)`` aerial imaging of one bounded
-        batch — an engine's ``aerial_batch`` or a sharded executor's.
-    develop:
-        Elementwise resist development applied to each stitched core (the
-        constant-threshold model; elementwise, so per-batch application
-        equals whole-raster application exactly).
+        The runner: ``(B, tile, tile) -> (B, tile, tile)`` aerial imaging of
+        one bounded batch — the engine's ``aerial_batch`` or a sharded
+        executor's.
     batch_tiles:
-        Tiles per streamed batch; peak RAM is O(this batch), independent of
-        the layout size.
+        Tiles per batch; peak RAM is O(this batch), independent of the
+        layout size.
     out_dir:
         When given, aerial / resist become disk-backed memmaps in the
-        documented directory layout and ``meta.json`` is written on success.
-    tile_cache / cache_context:
-        Optional :class:`~repro.engine.tile_cache.TileResultCache` plus its
-        :class:`~repro.engine.tile_cache.TileCacheContext`: each batch is
-        deduplicated to its unique tile contents, ``image_batch`` sees only
-        first-occurrence misses, and results are scattered back before the
-        stitch — bit-for-bit the uncached stream (per-tile FFT work is
-        independent of batch composition).
+        documented directory layout and ``meta.json`` (plus ``meta``) is
+        written on success.
+    tile_cache:
+        Optional :class:`~repro.engine.tile_cache.TileResultCache`: each
+        batch is deduplicated to its unique tile contents, ``image_batch``
+        sees only first-occurrence misses, and results are scattered back
+        before the stitch — bit-for-bit the uncached stream (per-tile FFT
+        work is independent of batch composition).
 
-    Returns ``(aerial, resist, num_tiles)``; the arrays are memmaps when
-    ``out_dir`` was given (flushed before returning).  ``layout`` may be a
-    dense array, a ``numpy.memmap`` or a windowed layout reader.
+    Returns a :class:`LayoutImage`; its arrays are memmaps (flushed before
+    returning) when ``out_dir`` was given.
     """
+    real_dtype = engine.precision.real_dtype
     if not hasattr(layout, "read_window"):
-        layout = np.asarray(layout)
+        from ..layout.reader import ArrayLayoutReader
+
+        layout = ArrayLayoutReader(layout, dtype=real_dtype)
     if len(layout.shape) != 2:
         raise ValueError("layout must be a 2-D image")
     height, width = layout.shape
     placements = plan_tiles(height, width, tiling)
+    cache_context = engine.tile_cache_context(tiling) \
+        if tile_cache is not None else None
 
     aerial = _preallocate(out_dir, AERIAL_FILE, (height, width), real_dtype)
-    resist = _preallocate(out_dir, RESIST_FILE, (height, width), np.uint8)
+    resist = None if out_dir is None else \
+        _preallocate(out_dir, RESIST_FILE, (height, width), np.uint8)
 
-    if tile_cache is not None and cache_context is None:
-        raise ValueError("tile_cache requires a cache_context")
-
-    guard = tiling.guard_px
     for batch in iter_tile_batches(layout, placements, tiling, batch_tiles,
                                    with_digests=tile_cache is not None):
         if tile_cache is not None:
@@ -169,14 +196,15 @@ def stream_image_layout(layout, tiling: TilingSpec,
         else:
             tiles, subset = batch
             aerial_tiles = image_batch(tiles)
+        del batch, tiles  # free the masks before any stitch temporaries
         stitch_into(aerial, aerial_tiles, subset, tiling)
-        # Development is elementwise, so the resist can be streamed from the
-        # just-written aerial cores without ever thresholding the full raster.
-        for image, place in zip(aerial_tiles, subset):
-            core = image[guard:guard + place.core_h,
-                         guard:guard + place.core_w]
-            resist[place.row:place.row + place.core_h,
-                   place.col:place.col + place.core_w] = develop(core)
+        if resist is not None:
+            # Memmap sinks develop per batch (elementwise, so bit-identical)
+            # and never need the whole aerial in RAM.
+            stitch_into(resist, engine.resist_model.develop(aerial_tiles),
+                        subset, tiling)
+    if resist is None:
+        resist = engine.resist_model.develop(aerial)
 
     if out_dir is not None:
         aerial.flush()
@@ -188,13 +216,16 @@ def stream_image_layout(layout, tiling: TilingSpec,
             "tile_px": int(tiling.tile_px),
             "guard_px": int(tiling.guard_px),
             "num_tiles": len(placements),
+            "backend": engine.backend.name,
+            "precision": engine.precision.name,
         }
         payload.update(meta or {})
         with open(os.path.join(out_dir, META_FILE), "w",
                   encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    return aerial, resist, len(placements)
+    return LayoutImage(aerial=aerial, resist=resist, tiling=tiling,
+                       num_tiles=len(placements), out_dir=out_dir)
 
 
 def open_layout_dir(out_dir: str, mmap_mode: str = "r",

@@ -96,14 +96,16 @@ class ArrayLayoutReader:
            [0., 0., 1.]])
     """
 
-    def __init__(self, layout: np.ndarray):
+    def __init__(self, layout: np.ndarray, dtype=None):
         if np.ndim(layout) != 2:
             raise ValueError("layout must be a 2-D image")
-        # Memmaps pass through untouched; plain arrays are cast to float so
-        # windows match what the tiling extractor produced for dense input.
-        if not np.issubdtype(np.asarray(layout).dtype, np.floating):
-            layout = np.asarray(layout, dtype=float)
-        self._layout = layout
+        # Windows are cast as they are cut, never the whole array, so a
+        # uint8 memmap pages in (and widens) one window at a time.
+        self._layout = np.asarray(layout)
+        if dtype is None:
+            dtype = self._layout.dtype \
+                if np.issubdtype(self._layout.dtype, np.floating) else float
+        self._dtype = np.dtype(dtype)
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -111,19 +113,19 @@ class ArrayLayoutReader:
 
     @property
     def dtype(self) -> np.dtype:
-        """Window dtype (the wrapped array's floating dtype).
+        """Window dtype (``dtype=`` if given, else the array's floating dtype).
 
         The tile extractor allocates its batch in this dtype, so a float32
         layout keeps its float32 tile stack — geometry readers have no
         ``dtype`` and default to float64 there.
         """
-        return self._layout.dtype
+        return self._dtype
 
     def read_window(self, row: int, col: int, height: int,
                     width: int) -> np.ndarray:
         if height <= 0 or width <= 0:
             raise ValueError("window dimensions must be positive")
-        out = np.zeros((height, width), dtype=self._layout.dtype)
+        out = np.zeros((height, width), dtype=self._dtype)
         layout_h, layout_w = self.shape
         src_top, src_left = max(row, 0), max(col, 0)
         src_bottom = min(row + height, layout_h)
@@ -156,7 +158,7 @@ class ArrayLayoutReader:
                                 src_left:src_right].any()
 
     def digest(self) -> str:
-        return array_digest(np.asarray(self._layout))
+        return array_digest(self._layout.astype(self._dtype, copy=False))
 
     def materialise(self) -> np.ndarray:
         """The full dense raster (a float copy of the wrapped array)."""

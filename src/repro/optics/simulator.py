@@ -195,7 +195,7 @@ class LithographySimulator:
         split into overlapping ``tile_px`` tiles (default: the configured
         tile size), imaged in vectorised batches, and stitched back with the
         guard bands discarded.  Returns a
-        :class:`~repro.engine.execution.LayoutImage`.
+        :class:`~repro.engine.streaming.LayoutImage`.
         """
         return self.engine.image_layout(layout,
                                         tile_px=tile_px or self.config.tile_size_px,

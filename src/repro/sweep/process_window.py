@@ -214,11 +214,11 @@ class ProcessWindowSweep:
         (:meth:`ShardedExecutor.run_conditions`) and yields each condition
         as it completes — in any order; contents deterministic — so the
         store persists conditions as they land.  The streaming path images
-        focus-by-focus in bounded batches instead, trading cross-condition
-        overlap for O(tile-batch) RAM.  Windowed layout readers always take
-        the streaming path — materialising their full guard-banded tile
-        stack would cost more memory than the dense raster they exist to
-        avoid — mirroring ``ExecutionEngine.image_layout``.
+        focus-by-focus through :meth:`ShardedExecutor.image_layout` (bounded
+        tile batches) instead, trading cross-condition overlap for
+        O(tile-batch) RAM.  Windowed layout readers always take the
+        streaming path — materialising their full guard-banded tile stack
+        would cost more memory than the dense raster they exist to avoid.
 
         An executor carrying a tile-result cache routes multi-tile foci
         through :meth:`ShardedExecutor.image_layout` focus-by-focus too:
@@ -232,19 +232,17 @@ class ProcessWindowSweep:
         """
         if not foci:
             return
-        if hasattr(layout, "read_window"):
-            streaming = True
         if single_tile:
             conditions = self._conditions_for(foci, doses)
             for (focus, _), batch in self.executor.run_conditions(
                     conditions, layout[None]):
                 yield focus, batch[0], 1
-        elif streaming or getattr(self.executor, "tile_cache", None) \
-                is not None:
+        elif streaming or hasattr(layout, "read_window") \
+                or getattr(self.executor, "tile_cache", None) is not None:
             for focus in foci:
                 imaged = self.executor.image_layout(
                     self.spec_for_focus(focus), layout, tile_px=tile_px,
-                    guard_px=guard_px, streaming=streaming)
+                    guard_px=guard_px)
                 yield focus, imaged.aerial, imaged.num_tiles
         else:
             engine = self.executor.warm(self.spec_for_focus(foci[0]))

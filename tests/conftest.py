@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import NithoConfig, NithoModel
+from repro.engine import LayoutImage, extract_tiles, stitch_tiles
 from repro.masks import ICCAD2013Generator, ISPDMetalGenerator, ISPDViaGenerator
 from repro.optics import LithographySimulator, OpticsConfig, CircularSource
 from repro.optics.simulator import lithosim_engine
@@ -84,3 +85,29 @@ def trained_tiny_nitho(tiny_optics, quick_nitho_config, tiny_masks, tiny_aerials
 def small_engine() -> LithographySimulator:
     """A 32-pixel engine for tests that only need a coarse golden image."""
     return lithosim_engine(tile_size_px=32, pixel_size_nm=32.0)
+
+
+def whole_stack_image_layout(engine, layout, tile_px=None, guard_px=None,
+                             ) -> LayoutImage:
+    """Independent reference for ``image_layout``: one batch, one stitch.
+
+    Every guard-banded tile is cut at once, imaged in a single
+    ``engine.aerial_batch`` call, stitched and developed as a whole raster —
+    built only from the tiling primitives, so the batched loop every
+    ``image_layout`` runs is never checked against itself.
+    """
+    tiling = engine.resolve_tiling(None, tile_px, guard_px)
+    if not hasattr(layout, "read_window"):
+        layout = engine.precision.as_real(layout)
+    tiles, placements = extract_tiles(layout, tiling)
+    aerial = stitch_tiles(engine.aerial_batch(tiles), placements,
+                          *layout.shape, tiling)
+    return LayoutImage(aerial=aerial,
+                       resist=engine.resist_model.develop(aerial),
+                       tiling=tiling, num_tiles=len(placements))
+
+
+@pytest.fixture(scope="session")
+def reference_image_layout():
+    """:func:`whole_stack_image_layout`, for tests that take it as a fixture."""
+    return whole_stack_image_layout

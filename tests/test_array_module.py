@@ -119,10 +119,8 @@ class TestTransferCounts:
     def test_streaming_layout_counts_and_staging_buffer(self, fakegpu):
         numpy_engine, fake_engine = make_engines()
         layout = RNG.random((70, 70))
-        reference = numpy_engine.image_layout(layout, tile_px=32, guard_px=8,
-                                              streaming=True)
-        result = fake_engine.image_layout(layout, tile_px=32, guard_px=8,
-                                          streaming=True)
+        reference = numpy_engine.image_layout(layout, tile_px=32, guard_px=8)
+        result = fake_engine.image_layout(layout, tile_px=32, guard_px=8)
         np.testing.assert_array_equal(reference.aerial, result.aerial)
         np.testing.assert_array_equal(reference.resist, result.resist)
         stats = fakegpu.transfer_stats

@@ -388,27 +388,26 @@ class TestImageLayoutCLI:
             np.testing.assert_array_equal(data["mask"], mask)
             assert data["aerial"].shape == mask.shape
 
-    def test_image_layout_streaming_matches_in_memory(self, tmp_path, capsys):
-        """--streaming --out produces the bit-identical stitched result."""
+    def test_image_layout_streaming_matches_in_memory(
+            self, tmp_path, capsys, reference_image_layout):
+        """--out produces the bit-identical stitched result."""
         from repro.cli import main
         from repro.engine import open_layout_dir
 
         mask = (np.random.default_rng(10).random((60, 90)) > 0.8).astype(float)
         mask_path = str(tmp_path / "mask.npy")
         np.save(mask_path, mask)
-        reference = str(tmp_path / "ref.npz")
-        assert main(["image-layout", "--input", mask_path, "--tile-size", "32",
-                     "--pixel-size-nm", "8", "--guard", "8",
-                     "--output", reference]) == 0
+        engine = ExecutionEngine.for_optics(
+            OpticsConfig(tile_size_px=32, pixel_size_nm=8.0))
+        reference = reference_image_layout(engine, mask, guard_px=8)
         out_dir = str(tmp_path / "streamed")
         assert main(["image-layout", "--input", mask_path, "--tile-size", "32",
-                     "--pixel-size-nm", "8", "--guard", "8", "--streaming",
+                     "--pixel-size-nm", "8", "--guard", "8",
                      "--out", out_dir]) == 0
         assert "streamed" in capsys.readouterr().out
         aerial, resist, meta = open_layout_dir(out_dir)
-        with np.load(reference) as data:
-            np.testing.assert_array_equal(np.asarray(aerial), data["aerial"])
-            np.testing.assert_array_equal(np.asarray(resist), data["resist"])
+        np.testing.assert_array_equal(np.asarray(aerial), reference.aerial)
+        np.testing.assert_array_equal(np.asarray(resist), reference.resist)
         assert meta["shape"] == [60, 90]
 
     def test_image_layout_requires_some_output(self, capsys):

@@ -282,7 +282,7 @@ class TestEngineWiring:
         engine = ExecutionEngine.for_optics(CONFIG, fft_backend=backend_name,
                                             precision=precision)
         ref = engine.image_layout(hier_dense, tile_px=32, guard_px=8)
-        for kwargs in ({}, {"streaming": True}, {"batch_tiles": 2}):
+        for kwargs in ({}, {"batch_tiles": 2}):
             imaged = engine.image_layout(hier_reader, tile_px=32,
                                          guard_px=8, **kwargs)
             assert imaged.num_tiles == ref.num_tiles

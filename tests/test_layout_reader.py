@@ -280,7 +280,7 @@ class TestEngineWiring:
         engine = ExecutionEngine.for_optics(config, fft_backend=backend_name,
                                             precision=precision)
         ref = engine.image_layout(dense, tile_px=32, guard_px=8)
-        for kwargs in ({}, {"streaming": True}, {"batch_tiles": 2}):
+        for kwargs in ({}, {"batch_tiles": 2}):
             imaged = engine.image_layout(geometry_reader, tile_px=32,
                                          guard_px=8, **kwargs)
             assert imaged.num_tiles == ref.num_tiles
@@ -326,17 +326,17 @@ class TestSweepWiring:
         """Readers must never materialise the full tile stack in a sweep."""
         config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
         sweep = ProcessWindowSweep(config)
-        streaming_flags = []
+        imaged = []
         original = type(sweep.executor).image_layout
 
         def spy(self, spec, layout, **kwargs):
-            streaming_flags.append(kwargs.get("streaming"))
+            imaged.append(layout)
             return original(self, spec, layout, **kwargs)
 
         monkeypatch.setattr(type(sweep.executor), "image_layout", spy)
         grid = FocusExposureGrid(focus_values_nm=(0.0,), dose_values=(1.0,))
         sweep.run(geometry_reader, grid=grid, guard_px=8)
-        assert streaming_flags and all(streaming_flags)
+        assert imaged and all(layout is geometry_reader for layout in imaged)
 
     def test_campaign_identity_uses_reader_digest(self, geometry_reader,
                                                   tmp_path):

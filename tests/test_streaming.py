@@ -2,19 +2,22 @@
 
 Pinned guarantees:
 
-* the streaming stitch is **bit-for-bit** the in-memory ``image_layout``
-  result — across guard bands, batch sizes, FFT backends (numpy / scipy)
-  and precisions (float64 / float32), including a hypothesis sweep over
-  random layout geometries,
+* the batched ``image_layout`` loop is **bit-for-bit** the whole-stack
+  reference (every tile imaged in one batch, then stitched) — across guard
+  bands, batch sizes, FFT backends (numpy / scipy) and precisions
+  (float64 / float32), including a hypothesis sweep over random layout
+  geometries,
 * ``iter_tile_batches`` covers every placement exactly once and never
   materialises more than one batch,
 * the ``out_dir`` memmap layout round-trips through ``open_layout_dir``
   (self-describing ``.npy`` files + ``meta.json``), and
 * memmapped *inputs* work: a layout opened with ``mmap_mode="r"`` streams
-  through without being loaded wholesale.
+  through without being loaded wholesale — a ``uint8`` memmap is cut into
+  float tiles window by window, never cast as a whole.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,24 +102,26 @@ class TestStreamingEqualsInMemory:
     ])
     @pytest.mark.parametrize("guard_px", [0, 8])
     def test_bit_for_bit_across_policies(self, layout, backend_name,
-                                         precision, guard_px):
+                                         precision, guard_px,
+                                         reference_image_layout):
         if backend_name == "scipy":
             pytest.importorskip("scipy.fft")
         engine = EngineSpec(config=CONFIG, source=SOURCE,
                             fft_backend=backend_name,
                             precision=precision).build()
-        reference = engine.image_layout(layout, guard_px=guard_px)
+        reference = reference_image_layout(engine, layout, guard_px=guard_px)
         streamed = engine.image_layout(layout, guard_px=guard_px,
-                                       streaming=True, batch_tiles=3)
+                                       batch_tiles=3)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
         np.testing.assert_array_equal(streamed.resist, reference.resist)
         assert streamed.num_tiles == reference.num_tiles
         assert streamed.aerial.dtype == reference.aerial.dtype
 
     @pytest.mark.parametrize("batch_tiles", [1, 2, 7, None])
-    def test_bit_for_bit_across_batch_sizes(self, engine, layout, batch_tiles):
-        reference = engine.image_layout(layout, guard_px=8)
-        streamed = engine.image_layout(layout, guard_px=8, streaming=True,
+    def test_bit_for_bit_across_batch_sizes(self, engine, layout, batch_tiles,
+                                            reference_image_layout):
+        reference = reference_image_layout(engine, layout, guard_px=8)
+        streamed = engine.image_layout(layout, guard_px=8,
                                        batch_tiles=batch_tiles)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
 
@@ -124,13 +129,13 @@ class TestStreamingEqualsInMemory:
     @given(height=st.integers(20, 70), width=st.integers(20, 70),
            guard=st.integers(0, 12), batch=st.integers(1, 5),
            seed=st.integers(0, 2 ** 16))
-    def test_bit_for_bit_random_geometry(self, engine, height, width, guard,
-                                         batch, seed):
+    def test_bit_for_bit_random_geometry(self, engine, reference_image_layout,
+                                         height, width, guard, batch, seed):
         rng = np.random.default_rng(seed)
         layout = (rng.random((height, width)) > 0.7).astype(float)
-        reference = engine.image_layout(layout, guard_px=guard)
+        reference = reference_image_layout(engine, layout, guard_px=guard)
         streamed = engine.image_layout(layout, guard_px=guard,
-                                       streaming=True, batch_tiles=batch)
+                                       batch_tiles=batch)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
         np.testing.assert_array_equal(streamed.resist, reference.resist)
 
@@ -143,9 +148,10 @@ class TestStreamingEqualsInMemory:
 
 
 class TestMemmapOutput:
-    def test_out_dir_roundtrip(self, engine, layout, tmp_path):
+    def test_out_dir_roundtrip(self, engine, layout, tmp_path,
+                               reference_image_layout):
         out_dir = str(tmp_path / "streamed")
-        reference = engine.image_layout(layout, guard_px=8)
+        reference = reference_image_layout(engine, layout, guard_px=8)
         result = engine.image_layout(layout, guard_px=8, out_dir=out_dir)
         assert isinstance(result.aerial, np.memmap)
         assert result.out_dir == out_dir
@@ -166,13 +172,14 @@ class TestMemmapOutput:
         with pytest.raises(FileNotFoundError):
             open_layout_dir(str(tmp_path))
 
-    def test_memmap_layout_input_streams(self, engine, layout, tmp_path):
+    def test_memmap_layout_input_streams(self, engine, layout, tmp_path,
+                                         reference_image_layout):
         """An np.load(..., mmap_mode='r') layout goes straight through."""
         path = str(tmp_path / "layout.npy")
         np.save(path, layout)
         mapped = np.load(path, mmap_mode="r")
-        reference = engine.image_layout(layout, guard_px=8)
-        streamed = engine.image_layout(mapped, guard_px=8, streaming=True)
+        reference = reference_image_layout(engine, layout, guard_px=8)
+        streamed = engine.image_layout(mapped, guard_px=8)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
 
     def test_out_dir_files_exist(self, engine, layout, tmp_path):
@@ -180,3 +187,31 @@ class TestMemmapOutput:
         engine.image_layout(layout, guard_px=8, out_dir=out_dir)
         assert sorted(os.listdir(out_dir)) == ["aerial.npy", "meta.json",
                                                "resist.npy"]
+
+
+class TestDenseInputCastPerWindow:
+    def test_uint8_memmap_is_never_cast_wholesale(self, engine, tmp_path,
+                                                  reference_image_layout):
+        """Tiles are cut straight into the engine dtype: imaging a uint8
+        memmap into an out_dir allocates far less than a float64 copy."""
+        layout = (np.random.default_rng(4).random((1024, 1024)) > 0.7
+                  ).astype(np.uint8)
+        path = str(tmp_path / "layout.npy")
+        np.save(path, layout)
+        mapped = np.load(path, mmap_mode="r")
+        out_dir = str(tmp_path / "out")
+        tracemalloc.start()
+        try:
+            result = engine.image_layout(mapped, guard_px=0, out_dir=out_dir,
+                                         batch_tiles=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        float_copy = layout.size * np.dtype(np.float64).itemsize
+        assert peak < float_copy / 4, \
+            f"peak {peak / 2**20:.1f} MiB vs float copy {float_copy / 2**20:.0f} MiB"
+        reference = reference_image_layout(engine, layout, guard_px=0)
+        np.testing.assert_array_equal(np.asarray(result.aerial),
+                                      reference.aerial)
+        np.testing.assert_array_equal(np.asarray(result.resist),
+                                      reference.resist)

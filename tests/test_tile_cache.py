@@ -4,7 +4,7 @@ Pinned guarantees:
 
 * deduplicated imaging is **bit-for-bit** the uncached result — across FFT
   backends (numpy / scipy), precisions (float64 / float32), serial and
-  sharded execution, in-memory and streaming paths, including a hypothesis
+  sharded execution, single- and multi-batch runs, including a hypothesis
   sweep over random layout geometries,
 * a 2x2 instance array of one cell images exactly one unique tile; the
   other three are served from the cache (:class:`TileCacheStats` observable),
@@ -394,10 +394,10 @@ class TestCachedImagingBitForBit:
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), guard=st.sampled_from([0, 8]),
            height=st.integers(33, 70), width=st.integers(33, 96))
-    def test_dedup_is_bit_for_bit(self, backend, precision, seed, guard,
-                                  height, width):
+    def test_dedup_is_bit_for_bit(self, reference_image_layout, backend,
+                                  precision, seed, guard, height, width):
         """Cached == uncached, bit for bit, across backends, precisions and
-        the in-memory / streaming paths, on random repetitive layouts."""
+        single- / multi-batch runs, on random repetitive layouts."""
         if backend == "scipy":
             pytest.importorskip("scipy.fft")
         rng = np.random.default_rng(seed)
@@ -407,21 +407,22 @@ class TestCachedImagingBitForBit:
             layout[row:row + int(rng.integers(1, 20)),
                    col:col + int(rng.integers(1, 20))] = 1.0
         plain, cached = engine_pair(backend, precision)
-        reference = plain.image_layout(layout, tile_px=32, guard_px=guard)
+        reference = reference_image_layout(plain, layout, tile_px=32,
+                                           guard_px=guard)
         dense = cached.image_layout(layout, tile_px=32, guard_px=guard)
         streamed = cached.image_layout(layout, tile_px=32, guard_px=guard,
-                                       streaming=True, batch_tiles=3)
+                                       batch_tiles=3)
         np.testing.assert_array_equal(dense.aerial, reference.aerial)
         np.testing.assert_array_equal(dense.resist, reference.resist)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
         np.testing.assert_array_equal(streamed.resist, reference.resist)
 
     @pytest.mark.parametrize("precision", ["float64", "float32"])
-    @pytest.mark.parametrize("streaming", [False, True])
+    @pytest.mark.parametrize("batch_tiles", [None, 3])
     def test_sharded_dedup_is_bit_for_bit(self, tmp_path, precision,
-                                          streaming):
-        """Parent-side dedup in ShardedExecutor matches the uncached sharded
-        result exactly (which itself is pinned to match serial)."""
+                                          batch_tiles, reference_image_layout):
+        """Parent-side dedup in ShardedExecutor matches the uncached
+        whole-stack result exactly, in one batch or many."""
         from repro.engine import EngineSpec
 
         layout = np.zeros((80, 110))
@@ -429,14 +430,11 @@ class TestCachedImagingBitForBit:
         layout[30:38, 40:100] = 1.0
         spec = EngineSpec(config=CONFIG, source=SOURCE, precision=precision)
         cache = TileResultCache()
-        with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path),
-                             tile_cache=False) as executor:
-            reference = executor.image_layout(spec, layout, guard_px=8,
-                                              streaming=streaming)
+        reference = reference_image_layout(spec.build(), layout, guard_px=8)
         with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path),
                              tile_cache=cache) as executor:
             result = executor.image_layout(spec, layout, guard_px=8,
-                                           streaming=streaming)
+                                           batch_tiles=batch_tiles)
         np.testing.assert_array_equal(result.aerial, reference.aerial)
         np.testing.assert_array_equal(result.resist, reference.resist)
         assert cache.stats.tiles == reference.num_tiles
