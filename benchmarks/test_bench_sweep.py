@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from repro.backend import available_backends, get_backend
+from repro.backend import ComputeConfig, available_backends, get_backend
 from repro.engine import ShardedExecutor, available_workers
 from repro.masks.generators import ISPDMetalGenerator
 from repro.optics import OpticsConfig
@@ -94,14 +94,13 @@ def test_sharded_sweep_speedup(record_output, record_json, tmp_path):
         with ShardedExecutor(num_workers=1, cache_dir=cache_dir) as b_serial_ex, \
                 ShardedExecutor(num_workers=num_workers,
                                 cache_dir=cache_dir) as b_sharded_ex:
+            compute = ComputeConfig(fft_backend=backend_name)
             b_serial = ProcessWindowSweep(
                 config, source=source, executor=b_serial_ex,
-                fft_backend=backend_name).run(layout, grid=GRID,
-                                              keep_aerials=True)
+                compute=compute).run(layout, grid=GRID, keep_aerials=True)
             b_sharded = ProcessWindowSweep(
                 config, source=source, executor=b_sharded_ex,
-                fft_backend=backend_name).run(layout, grid=GRID,
-                                              keep_aerials=True)
+                compute=compute).run(layout, grid=GRID, keep_aerials=True)
         assert b_sharded.window == b_serial.window
         for focus in GRID.focus_values_nm:
             np.testing.assert_array_equal(b_sharded.aerials[focus],

@@ -23,9 +23,11 @@ Results land in ``benchmarks/results/tile_cache.{txt,json}``.
 import dataclasses
 import os
 import time
+from typing import Optional
 
 import numpy as np
 
+from repro.backend import ComputeConfig
 from repro.engine import ExecutionEngine, KernelBankCache, TileResultCache
 from repro.optics import OpticsConfig
 from repro.optics.source import AnnularSource
@@ -63,20 +65,23 @@ def _build_layout(grid) -> np.ndarray:
     return canvas
 
 
-def _build_engine(cache_dir: str, tile_cache) -> ExecutionEngine:
+def _build_engine(cache_dir: str,
+                  tile_cache: Optional[TileResultCache] = None,
+                  ) -> ExecutionEngine:
+    """Caching off unless a live ``tile_cache`` is given."""
     return ExecutionEngine.for_optics(
         OpticsConfig(tile_size_px=TILE, pixel_size_nm=PIXEL_NM,
                      max_socs_order=ORDER),
         source=AnnularSource(0.5, 0.8),
         cache=KernelBankCache(cache_dir=cache_dir),
-        tile_cache=tile_cache)
+        tile_cache=tile_cache, compute=ComputeConfig(tile_cache=False))
 
 
 def test_tile_cache_dedup(preset, record_output, record_json, tmp_path):
     grid = GRIDS.get(preset, GRIDS["default"])
     layout = _build_layout(grid)
     bank_dir = str(tmp_path / "bank-cache")
-    plain = _build_engine(bank_dir, tile_cache=False)
+    plain = _build_engine(bank_dir)
 
     def time_plain():
         start = time.perf_counter()

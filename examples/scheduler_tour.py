@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from repro.backend import ComputeConfig
 from repro.engine import (
     EngineSpec,
     FaultInjectingScheduler,
@@ -42,7 +43,8 @@ def main() -> None:
 
     results = {}
     for name in ("serial", "pool", "stealing"):
-        with ShardedExecutor(num_workers=2, scheduler=name) as executor:
+        with ShardedExecutor(num_workers=2,
+                             compute=ComputeConfig(scheduler=name)) as executor:
             start = time.perf_counter()
             results[name] = dict(executor.run_conditions(conditions, masks))
             elapsed = time.perf_counter() - start

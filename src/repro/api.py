@@ -12,8 +12,8 @@ picks defaults and wires the pieces):
 
 Compute policy rides in one place: every verb takes
 ``compute=ComputeConfig(...)`` (or inherits the ``REPRO_*`` environment
-through the consumers' defaults) instead of a drift-prone spread of
-``fft_backend=... / precision=...`` keywords.
+through the consumers' defaults), the one spelling of the FFT backend,
+precision, tile-cache and scheduler policy every layer underneath accepts.
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ owns two orthogonal policies that the whole engine stack
 
 Both policies (plus the tile-cache and scheduler switches) bundle into one
 serialisable :class:`ComputeConfig` (see :mod:`repro.backend.config`) — the
-``compute=`` argument every engine-stack constructor accepts, and the JSON
-object campaign-service requests carry.  The loose per-knob kwargs remain
-accepted through a deprecation shim.
+``compute=`` argument every engine-stack constructor accepts (the only
+spelling of these knobs), and the JSON object campaign-service requests
+carry.
 
 Usage
 -----
@@ -98,7 +98,6 @@ from .config import (
     TILE_CACHE_DIR_ENV_VAR,
     TILE_CACHE_ENV_VAR,
     ComputeConfig,
-    apply_legacy_kwargs,
 )
 from .precision import (
     AUTO_PRECISION,
@@ -124,6 +123,6 @@ __all__ = [
     "Precision", "FLOAT32", "FLOAT64", "resolve_precision",
     "available_precisions", "PRECISION_ENV_VAR",
     "AUTO_PRECISION", "is_auto_precision", "autotune_precision",
-    "ComputeConfig", "apply_legacy_kwargs",
+    "ComputeConfig",
     "TILE_CACHE_ENV_VAR", "TILE_CACHE_DIR_ENV_VAR", "SCHEDULER_ENV_VAR",
 ]

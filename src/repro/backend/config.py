@@ -1,23 +1,26 @@
 """The unified, serialisable compute policy: :class:`ComputeConfig`.
 
-Historically the compute-policy knobs — ``fft_backend``, ``fft_workers``,
-``precision``, ``tile_cache``, ``scheduler`` — were threaded as five loose
-keyword arguments through :class:`~repro.engine.ExecutionEngine`,
-:class:`~repro.engine.EngineSpec`, :class:`~repro.engine.ShardedExecutor`,
-:class:`~repro.sweep.ProcessWindowSweep` and every CLI subcommand.  A
-campaign *service* request needs that policy to be one serialisable object:
-:class:`ComputeConfig` is that object, a frozen dataclass that
+The compute-policy knobs — ``fft_backend``, ``fft_workers``, ``precision``,
+``tile_cache``, ``scheduler`` — configure
+:class:`~repro.engine.ExecutionEngine`, :class:`~repro.engine.EngineSpec`,
+:class:`~repro.engine.ShardedExecutor`, :class:`~repro.sweep.ProcessWindowSweep`
+and every CLI subcommand.  A campaign *service* request needs that policy to
+be one serialisable object: :class:`ComputeConfig` is that object, a frozen
+dataclass that
 
 * round-trips through JSON (:meth:`to_json` / :meth:`from_json`) so HTTP
   requests and stored campaign manifests can carry it,
-* reads the same environment variables the loose kwargs honoured
-  (:meth:`from_env`: ``REPRO_FFT_BACKEND``, ``REPRO_FFT_WORKERS``,
-  ``REPRO_PRECISION``, ``REPRO_TILE_CACHE``, ``REPRO_SCHEDULER``),
+* reads the compute environment variables (:meth:`from_env`:
+  ``REPRO_FFT_BACKEND``, ``REPRO_FFT_WORKERS``, ``REPRO_PRECISION``,
+  ``REPRO_TILE_CACHE``, ``REPRO_SCHEDULER``),
 * normalises names to concrete choices (:meth:`resolve`) — e.g.
   ``fft_backend=None`` becomes the ``auto``-resolved backend's name — so a
-  config can be pinned into a manifest and reproduced later, and
-* merges over the legacy kwargs via :func:`apply_legacy_kwargs`, the
-  deprecation shim that keeps every existing call site working.
+  config can be pinned into a manifest and reproduced later.
+
+It is the only spelling of these names: the engine, executor, spec and sweep
+constructors take them through ``compute=`` alone.  Live objects stay
+outside the config, one keyword each: a ``TileResultCache`` instance on
+``tile_cache=`` and a wired ``Scheduler`` on ``ShardedExecutor(scheduler=)``.
 
 Every field defaults to ``None`` = "consumer decides", which preserves each
 consumer's historical default (engines consult the environment, the executor
@@ -29,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -76,9 +78,11 @@ class ComputeConfig:
     ``None`` for any field means "consumer decides" — the consumer applies
     its historical default (usually: consult the environment).  Fields hold
     *names*, never live objects, so a config pickles, JSON-serialises and
-    crosses process / HTTP boundaries; places that accept rich instances
-    (an :class:`~repro.backend.FFTBackend`, a ``TileResultCache``, a wired
-    ``Scheduler``) keep accepting them as before, outside the config.
+    crosses process / HTTP boundaries.  FFT backends and precisions are
+    always named (custom backends join through
+    :func:`~repro.backend.register_backend`); the two live objects the stack
+    accepts travel outside the config: a ``TileResultCache`` on
+    ``tile_cache=`` and a wired ``Scheduler`` on ``ShardedExecutor(scheduler=)``.
     """
 
     fft_backend: Optional[str] = None
@@ -91,8 +95,9 @@ class ComputeConfig:
         if self.fft_backend is not None and not isinstance(self.fft_backend, str):
             raise TypeError(
                 f"fft_backend must be a backend name or None, got "
-                f"{self.fft_backend!r}; pass FFTBackend instances directly "
-                f"to the consumer, not through ComputeConfig")
+                f"{self.fft_backend!r}; register custom backends with "
+                f"register_backend and name them, rather than passing "
+                f"FFTBackend instances directly")
         if self.fft_workers is not None:
             if isinstance(self.fft_workers, bool) \
                     or not isinstance(self.fft_workers, int):
@@ -105,18 +110,19 @@ class ComputeConfig:
         if self.precision is not None and not isinstance(self.precision, str):
             raise TypeError(
                 f"precision must be a precision name or None, got "
-                f"{self.precision!r}; pass Precision instances directly to "
-                f"the consumer, not through ComputeConfig")
+                f"{self.precision!r}; name the policy ('float64', "
+                f"'float32', 'auto') rather than passing dtype or Precision "
+                f"instances directly")
         if self.tile_cache is not None and not isinstance(self.tile_cache, bool):
             raise TypeError(
                 f"tile_cache must be True, False or None in a ComputeConfig, "
                 f"got {self.tile_cache!r}; pass TileResultCache instances "
-                f"directly to the consumer")
+                f"directly as the consumer's tile_cache= argument")
         if self.scheduler is not None and not isinstance(self.scheduler, str):
             raise TypeError(
                 f"scheduler must be a scheduler name or None, got "
-                f"{self.scheduler!r}; pass Scheduler instances directly to "
-                f"the consumer")
+                f"{self.scheduler!r}; pass Scheduler instances directly as "
+                f"ShardedExecutor(scheduler=)")
 
     # ------------------------------------------------------------------ #
     # construction
@@ -125,8 +131,7 @@ class ComputeConfig:
     def from_env(cls) -> "ComputeConfig":
         """The policy the environment variables express (unset = ``None``).
 
-        Reads exactly the variables the loose kwargs honoured:
-        ``REPRO_FFT_BACKEND``, ``REPRO_FFT_WORKERS``, ``REPRO_PRECISION``,
+        Reads ``REPRO_FFT_BACKEND``, ``REPRO_FFT_WORKERS``, ``REPRO_PRECISION``,
         ``REPRO_TILE_CACHE`` (+ ``REPRO_TILE_CACHE_DIR`` implying on) and
         ``REPRO_SCHEDULER``.
         """
@@ -219,29 +224,3 @@ class ComputeConfig:
     def replace(self, **changes: Any) -> "ComputeConfig":
         """A copy with the named fields replaced (dataclasses.replace)."""
         return dataclasses.replace(self, **changes)
-
-
-def apply_legacy_kwargs(config: Optional[ComputeConfig],
-                        caller: str,
-                        stacklevel: int = 3,
-                        **legacy: Any) -> ComputeConfig:
-    """The deprecation shim: fold loose compute kwargs into a ComputeConfig.
-
-    ``legacy`` maps field name -> the value the caller passed (``None`` =
-    not passed).  Passing any non-``None`` legacy value emits a
-    ``DeprecationWarning`` naming the replacement, then overrides the
-    corresponding config field — so legacy call sites keep working, mixed
-    call sites behave predictably (explicit kwarg wins), and migrated call
-    sites pay nothing.  Rich instances (FFTBackend, Precision,
-    TileResultCache, Scheduler objects) must be stripped by the caller
-    before reaching this shim — a ComputeConfig holds names only.
-    """
-    named = {key: value for key, value in legacy.items() if value is not None}
-    if not named:
-        return config if config is not None else ComputeConfig()
-    warnings.warn(
-        f"{caller}: the {', '.join(sorted(named))} keyword argument(s) are "
-        f"deprecated; bundle them into compute=ComputeConfig(...) instead",
-        DeprecationWarning, stacklevel=stacklevel)
-    base = config if config is not None else ComputeConfig()
-    return dataclasses.replace(base, **named)

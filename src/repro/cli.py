@@ -193,8 +193,7 @@ def command_image_layout(arguments) -> int:
         # pool / stealing / service: shard the tile batches through the
         # named scheduler (bit-for-bit the serial output).
         spec = EngineSpec(config=config, source=source, compute=compute)
-        with ShardedExecutor(scheduler=scheduler,
-                             compute=compute.replace(scheduler=None),
+        with ShardedExecutor(compute=compute.replace(scheduler=scheduler),
                              ) as executor:
             tile_cache = executor.tile_cache
             engine = executor.warm(spec)
@@ -345,11 +344,12 @@ def _run_sweep_window(arguments, grid, num_workers: int,
     if arguments.compare_serial and executor.num_workers > 1:
         # tile_cache=False: the serial comparator must re-image everything,
         # or a shared default cache would make the speedup read as ~1x.
+        serial_compute = compute.replace(tile_cache=False, scheduler=None)
         serial_sweep = ProcessWindowSweep(
             config, source=source,
             executor=ShardedExecutor(num_workers=1, cache_dir=cache_dir,
-                                     tile_cache=False),
-            compute=compute.replace(tile_cache=None, scheduler=None))
+                                     compute=serial_compute),
+            compute=serial_compute)
         serial_start = time.perf_counter()
         serial_outcome = serial_sweep.run(
             mask, target_cd_nm=arguments.target_cd or None, grid=grid,

@@ -24,7 +24,8 @@ throughput benchmarks — runs through this package:
   (:meth:`ShardedExecutor.run_conditions`),
 * :mod:`repro.engine.scheduler` — the condition-level task scheduling seam
   (:class:`Scheduler` / :class:`TaskSpec`): serial, pool and work-stealing
-  implementations (selected via ``scheduler=`` / ``REPRO_SCHEDULER``), plus
+  implementations (selected via ``ComputeConfig(scheduler=)`` /
+  ``REPRO_SCHEDULER``), plus
   the :class:`FaultInjectingScheduler` chaos wrapper CI uses to prove the
   bit-for-bit-or-serial-fallback guarantee under induced failure, and
 * :mod:`repro.engine.tile_cache` — the content-addressed tile-result cache
@@ -34,10 +35,10 @@ throughput benchmarks — runs through this package:
   from the cache, bit-for-bit the uncached result.
 
 Every FFT and dtype decision is delegated to the compute-backend layer in
-:mod:`repro.backend`: engines accept ``fft_backend`` / ``fft_workers`` /
-``precision`` and default to the environment-selected backend
-(``REPRO_FFT_BACKEND``, auto = multi-threaded scipy when importable) at
-float64.  Layout input is a dense ``(H, W)`` raster or a windowed
+:mod:`repro.backend`: engines take ``compute=ComputeConfig(fft_backend=...,
+fft_workers=..., precision=...)`` and default to the environment-selected
+backend (``REPRO_FFT_BACKEND``, auto = multi-threaded scipy when importable)
+at float64.  Layout input is a dense ``(H, W)`` raster or a windowed
 :mod:`repro.layout` reader — readers stream tile-by-tile, so the dense
 raster never needs to exist.
 

@@ -14,27 +14,25 @@ learned Nitho kernels, anything of shape ``(r, n, m)`` — and provides:
   process-wide kernel-bank cache in :mod:`repro.engine.cache`, so the TCC +
   eigendecomposition for a given optics fingerprint happens at most once per
   process no matter how many simulators, experiments or benchmarks ask, and
-* the compute policy knobs of :mod:`repro.backend`: ``fft_backend`` /
-  ``fft_workers`` select the FFT implementation (numpy, multi-threaded
-  scipy, or anything registered), ``precision`` selects the float64 / float32
-  dtype pair the whole pipeline runs at (the kernel bank is cast once at
-  construction; the cache keys banks by precision so dtypes never mix).
+* the compute policy of :mod:`repro.backend`, one ``compute=ComputeConfig``:
+  ``fft_backend`` / ``fft_workers`` select the FFT implementation (numpy,
+  multi-threaded scipy, or anything registered), ``precision`` selects the
+  float64 / float32 dtype pair the whole pipeline runs at (the kernel bank is
+  cast once at construction; the cache keys banks by precision so dtypes
+  never mix), ``tile_cache`` switches the tile-result cache on or off.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..backend import (
     FLOAT64,
     ComputeConfig,
-    FFTBackend,
-    Precision,
-    apply_legacy_kwargs,
     as_array_module,
     autotune_precision,
     get_backend,
@@ -52,7 +50,7 @@ from .batched import (
 )
 from .cache import KernelBankCache, default_kernel_cache
 from .streaming import LayoutImage, stream_image_layout
-from .tile_cache import TileCacheContext, resolve_tile_cache
+from .tile_cache import TileCacheContext, TileResultCache, attach_tile_cache
 from .tiling import TilingSpec, default_guard_px
 
 
@@ -110,57 +108,24 @@ class ExecutionEngine:
                  tile_size_px: Optional[int] = None,
                  band_limited: bool = True,
                  max_chunk_bytes: int = DEFAULT_MAX_CHUNK_BYTES,
-                 fft_backend: Optional[Union[FFTBackend, str]] = None,
-                 fft_workers: Optional[int] = None,
-                 precision: Optional[Union[Precision, str]] = None,
-                 tile_cache=None,
+                 tile_cache: Optional[TileResultCache] = None,
                  compute: Optional[ComputeConfig] = None):
         kernels = np.asarray(kernels)
         if kernels.ndim != 3:
             raise ValueError("kernels must have shape (r, n, m)")
-        # The loose per-knob kwargs are deprecated in favour of one
-        # serialisable ``compute=ComputeConfig(...)``.  Rich instances
-        # (FFTBackend / Precision / TileResultCache) are not expressible in
-        # a config — strip them out before the shim so they keep working
-        # warning-free.
-        backend_instance = fft_backend \
-            if isinstance(fft_backend, FFTBackend) else None
-        if backend_instance is not None:
-            fft_backend = None
-        precision_policy = precision if isinstance(precision, Precision) \
-            else None
-        if precision_policy is not None:
-            precision = None
-        tile_cache_obj = None
-        if tile_cache is not None and not isinstance(tile_cache, bool):
-            tile_cache_obj, tile_cache = tile_cache, None
-        compute = apply_legacy_kwargs(
-            compute, "ExecutionEngine", fft_backend=fft_backend,
-            fft_workers=fft_workers, precision=precision,
-            tile_cache=tile_cache)
-        #: The names-only compute policy this engine was built with (live
-        #: objects — an injected FFTBackend / Precision / TileResultCache —
-        #: live on :attr:`backend` / :attr:`precision` / :attr:`tile_cache`).
-        self.compute = compute
+        #: The names-only compute policy this engine was built with.
+        self.compute = compute = compute if compute is not None \
+            else ComputeConfig()
         #: Precision policy of every array this engine touches (masks cast on
         #: the way in, kernels cast once here, intensities come back real).
         #: The deferred ``"auto"`` spelling is resolved right here, against
         #: this bank: float32 exactly when the bank's SOCS truncation error
         #: already dominates the float32 dtype error (measured once).
-        requested_precision = precision_policy if precision_policy is not None \
-            else compute.precision
         self.precision = autotune_precision(kernels) \
-            if is_auto_precision(requested_precision) \
-            else resolve_precision(requested_precision)
-        if backend_instance is not None:
-            if compute.fft_workers is not None:
-                raise ValueError(
-                    "fft_workers cannot be applied to an already-constructed "
-                    "FFTBackend instance; pass a backend name instead")
-            self.backend = backend_instance
-        else:
-            self.backend = get_backend(compute.fft_backend,
-                                       workers=compute.fft_workers)
+            if is_auto_precision(compute.precision) \
+            else resolve_precision(compute.precision)
+        self.backend = get_backend(compute.fft_backend,
+                                   workers=compute.fft_workers)
         self.kernels = kernels.astype(self.precision.complex_dtype)
         self.resist_model = ConstantThresholdResist(resist_threshold)
         #: Tile size the kernel bank was calibrated for.  The kernels sample
@@ -170,12 +135,10 @@ class ExecutionEngine:
         self.tile_size_px = tile_size_px
         self.band_limited = band_limited
         self.max_chunk_bytes = max_chunk_bytes
-        #: Content-addressed tile-result cache (None = caching off).  A
-        #: TileResultCache instance / True / False / None — None consults
-        #: REPRO_TILE_CACHE / REPRO_TILE_CACHE_DIR (see resolve_tile_cache).
-        self.tile_cache = resolve_tile_cache(
-            tile_cache_obj if tile_cache_obj is not None
-            else compute.tile_cache)
+        #: Content-addressed tile-result cache (None = caching off): the
+        #: injected instance, else ``compute.tile_cache`` — True / False /
+        #: None, where None consults REPRO_TILE_CACHE / REPRO_TILE_CACHE_DIR.
+        self.tile_cache = attach_tile_cache(tile_cache, compute.tile_cache)
         self._kernel_fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------ #
@@ -184,22 +147,20 @@ class ExecutionEngine:
     @classmethod
     def for_optics(cls, config, source=None, pupil=None,
                    cache: Optional[KernelBankCache] = None,
-                   precision: Optional[Union[Precision, str]] = None,
                    compute: Optional[ComputeConfig] = None,
                    **kwargs) -> "ExecutionEngine":
         """Engine for an optics description, kernels served by the shared cache.
 
         ``source`` / ``pupil`` default to the golden simulator's defaults
         (annular illumination, ideal pupil plus the configured defocus).
-        ``precision`` keys the cache lookup, so a float32 engine receives a
-        complex64 bank and never re-casts per batch.  ``"auto"`` first pulls
-        the float64 master bank (computed at most once per fingerprint
-        anyway), autotunes against it, then fetches the bank at the chosen
-        precision — a float32 verdict costs one cached cast, never a second
-        decomposition.  ``compute`` carries the whole policy as one
-        :class:`~repro.backend.ComputeConfig` (its ``precision`` field is
-        honoured when the ``precision`` argument is unset); the loose
-        per-knob kwargs remain accepted via the constructor's shim.
+        ``compute`` carries the whole policy as one
+        :class:`~repro.backend.ComputeConfig`.  Its ``precision`` keys the
+        cache lookup, so a float32 engine receives a complex64 bank and never
+        re-casts per batch.  ``"auto"`` first pulls the float64 master bank
+        (computed at most once per fingerprint anyway), autotunes against
+        it, then fetches the bank at the chosen precision — a float32 verdict
+        costs one cached cast, never a second decomposition.  The engine's
+        :attr:`compute` records the resolved precision name.
         """
         from ..optics.pupil import Pupil
         from ..optics.source import AnnularSource
@@ -209,23 +170,18 @@ class ExecutionEngine:
         # "cache or default" would discard an *empty* injected cache, because
         # KernelBankCache defines __len__ and a fresh cache is falsy.
         cache = default_kernel_cache() if cache is None else cache
-        if precision is None and compute is not None:
-            precision = compute.precision
-        if is_auto_precision(precision):
+        compute = compute if compute is not None else ComputeConfig()
+        if is_auto_precision(compute.precision):
             master = cache.get_kernels(config, source, pupil,
                                        precision=FLOAT64)
             precision = autotune_precision(master.kernels)
         else:
-            precision = resolve_precision(precision)
+            precision = resolve_precision(compute.precision)
         bank = cache.get_kernels(config, source, pupil, precision=precision)
         kwargs.setdefault("resist_threshold", config.resist_threshold)
         kwargs.setdefault("tile_size_px", config.tile_size_px)
-        if compute is not None:
-            # Precision is passed as the resolved policy object below; a
-            # stale name in the config would shadow the autotune verdict.
-            compute = compute.replace(precision=None)
-        return cls(bank.kernels, precision=precision, compute=compute,
-                   **kwargs)
+        return cls(bank.kernels, compute=compute.replace(
+            precision=precision.name), **kwargs)
 
     # ------------------------------------------------------------------ #
     # kernel bank
@@ -239,24 +195,27 @@ class ExecutionEngine:
         return self.kernels.shape[1], self.kernels.shape[2]
 
     def truncate(self, order: int) -> "ExecutionEngine":
-        """New engine keeping only the ``order`` most energetic kernels."""
+        """New engine keeping only the ``order`` most energetic kernels.
+
+        The copy runs the same backend and precision and shares this engine's
+        tile cache; with caching off it stays off whatever the environment.
+        """
         if order <= 0:
             raise ValueError("order must be positive")
         if order > self.order:
             raise ValueError(
-                f"cannot truncate to {order} kernels: only {self.order} available")
+                f"cannot truncate to {order} kernels: engine only holds "
+                f"{self.order}")
         return type(self)(self.kernels[:order],
                           resist_threshold=self.resist_model.threshold,
                           tile_size_px=self.tile_size_px,
                           band_limited=self.band_limited,
                           max_chunk_bytes=self.max_chunk_bytes,
-                          fft_backend=self.backend,
-                          precision=self.precision,
-                          # A live cache is shared as-is; otherwise caching
-                          # stays off regardless of the environment.
                           tile_cache=self.tile_cache,
-                          compute=ComputeConfig(tile_cache=False)
-                          if self.tile_cache is None else None)
+                          compute=self.compute.replace(
+                              fft_backend=self.backend.name,
+                              precision=self.precision.name,
+                              tile_cache=self.tile_cache is not None))
 
     def kernel_energy(self) -> np.ndarray:
         """Per-kernel energy ``sum |K_i|^2`` — proportional to the SOCS eigenvalues."""

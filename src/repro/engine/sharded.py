@@ -54,7 +54,7 @@ from .cache import KernelBankCache, default_kernel_cache, optics_fingerprint
 from .execution import ExecutionEngine
 from .scheduler import Scheduler, SerialScheduler, TaskSpec, resolve_scheduler
 from .streaming import LayoutImage, stream_image_layout
-from .tile_cache import resolve_tile_cache
+from .tile_cache import TileResultCache, attach_tile_cache
 from .tiling import TilingSpec
 
 
@@ -66,15 +66,17 @@ class EngineSpec:
     can be megabytes, while the spec is a few hundred bytes and the workers
     resolve it through the shared (disk-backed) kernel cache.
 
-    The compute policy travels with the spec: ``fft_backend`` and
-    ``precision`` are normalised to concrete names at construction (``None``
-    resolves the parent's environment, never the worker's; ``"auto"``
-    autotunes against the cached float64 master bank right here), so every
-    worker
-    reconstructs the exact same backend + precision as the parent —
-    the sharded == serial bit-for-bit guarantee holds under every
-    backend/precision combination.  ``fft_workers`` only affects wall-clock
-    (pocketfft is deterministic across worker counts), never output.
+    The compute policy travels with the spec as ``compute``, normalised at
+    construction to concrete names (``None`` resolves the parent's
+    environment, never the worker's; ``"auto"`` precision autotunes against
+    the cached float64 master bank right here), so every worker reconstructs
+    the exact same backend + precision as the parent — the sharded == serial
+    bit-for-bit guarantee holds under every backend/precision combination.
+    ``fft_workers`` only affects wall-clock (pocketfft is deterministic
+    across worker counts), never output.  The config's ``tile_cache`` /
+    ``scheduler`` fields are executor-level policies, not part of the worker
+    imaging recipe, and are dropped; the imaging fields read back as
+    :attr:`fft_backend`, :attr:`fft_workers` and :attr:`precision`.
 
     ``dose`` is the optional exposure axis: a relative dose scales the
     resist threshold of the built engine (``threshold / dose`` — the aerial
@@ -90,31 +92,16 @@ class EngineSpec:
     band_limited: bool = True
     max_chunk_bytes: int = DEFAULT_MAX_CHUNK_BYTES
     cache_dir: Optional[str] = None
-    fft_backend: Optional[str] = None
-    fft_workers: Optional[int] = None
-    precision: Optional[str] = None
     dose: Optional[float] = None
-    #: Construction-time convenience only: a :class:`ComputeConfig` whose
-    #: ``fft_backend`` / ``fft_workers`` / ``precision`` seed the fields
-    #: above (explicit fields win), then the attribute resets to ``None`` —
-    #: so fingerprints, equality and pickles are identical whichever way a
-    #: spec was built.  ``tile_cache`` / ``scheduler`` are executor-level
-    #: policies, not part of the worker imaging recipe, and are ignored.
     compute: Optional[ComputeConfig] = None
 
     def __post_init__(self):
-        if self.compute is not None:
-            for field in ("fft_backend", "fft_workers", "precision"):
-                if getattr(self, field) is None:
-                    object.__setattr__(self, field,
-                                       getattr(self.compute, field))
-            object.__setattr__(self, "compute", None)
+        compute = self.compute if self.compute is not None \
+            else ComputeConfig()
         # Normalise the compute policy HERE, in the constructing process:
         # "auto" / env-var / None must not be re-interpreted by a worker
         # whose environment could differ.
-        object.__setattr__(self, "fft_backend",
-                           get_backend(self.fft_backend).name)
-        if is_auto_precision(self.precision):
+        if is_auto_precision(compute.precision):
             # Deferred "auto" resolves against the float64 master bank
             # (served by the shared cache, so the decomposition happens at
             # most once) and ships to workers as a concrete name — every
@@ -124,13 +111,26 @@ class EngineSpec:
                      if self.cache_dir else default_kernel_cache())
             master = cache.get_kernels(self.config, source, pupil,
                                        precision=FLOAT64)
-            object.__setattr__(self, "precision",
-                               autotune_precision(master.kernels).name)
+            precision = autotune_precision(master.kernels).name
         else:
-            object.__setattr__(self, "precision",
-                               resolve_precision(self.precision).name)
+            precision = resolve_precision(compute.precision).name
+        object.__setattr__(self, "compute", ComputeConfig(
+            fft_backend=get_backend(compute.fft_backend).name,
+            fft_workers=compute.fft_workers, precision=precision))
         if self.dose is not None and self.dose <= 0:
             raise ValueError("dose must be positive")
+
+    @property
+    def fft_backend(self) -> str:
+        return self.compute.fft_backend
+
+    @property
+    def fft_workers(self) -> Optional[int]:
+        return self.compute.fft_workers
+
+    @property
+    def precision(self) -> str:
+        return self.compute.precision
 
     def resolved_optics(self) -> Tuple[Source, Pupil]:
         """Source / pupil with the same defaults as ``ExecutionEngine.for_optics``."""
@@ -184,9 +184,7 @@ class EngineSpec:
             self.config, source=source, pupil=pupil, cache=cache,
             band_limited=self.band_limited,
             max_chunk_bytes=self.max_chunk_bytes,
-            compute=ComputeConfig(fft_backend=self.fft_backend,
-                                  fft_workers=self.fft_workers,
-                                  precision=self.precision), **kwargs)
+            compute=self.compute, **kwargs)
 
 
 # --------------------------------------------------------------------------- #
@@ -270,31 +268,31 @@ class ShardedExecutor:
         Smallest shard worth shipping to a worker; batches below
         ``2 * min_shard_tiles`` run serially.
     tile_cache:
-        Content-addressed tile-result cache for :meth:`image_layout`
-        (instance / ``True`` / ``False`` / ``None`` — ``None`` consults
-        ``REPRO_TILE_CACHE`` / ``REPRO_TILE_CACHE_DIR``).  Deduplication
-        happens **parent-side**, before any shard is cut: workers image only
-        first-occurrence unique tiles and never see the cache, so the
-        sharded == serial bit-for-bit guarantee is untouched.
+        A :class:`~repro.engine.tile_cache.TileResultCache` instance to use
+        for :meth:`image_layout`, or ``None`` for ``compute.tile_cache``.
+        Deduplication happens **parent-side**, before any shard is cut:
+        workers image only first-occurrence unique tiles and never see the
+        cache, so the sharded == serial bit-for-bit guarantee is untouched.
     scheduler:
-        Task-scheduling policy (see :mod:`repro.engine.scheduler`): a name
-        (``"serial"`` / ``"pool"`` / ``"stealing"``), a ready-made
-        :class:`~repro.engine.scheduler.Scheduler` instance, or ``None`` to
-        consult ``REPRO_SCHEDULER`` (default ``pool`` — today's behaviour).
-        ``REPRO_SCHEDULER_FAULTS`` additionally wraps named schedulers in a
-        fault injector (CI chaos runs); explicit instances are used as-is.
+        A ready-made :class:`~repro.engine.scheduler.Scheduler` instance,
+        used as-is, or ``None`` for ``compute.scheduler``.
     compute:
-        A :class:`~repro.backend.ComputeConfig` supplying ``tile_cache`` and
-        ``scheduler`` in one serialisable object (its FFT / precision fields
-        belong to the :class:`EngineSpec` each call carries and are ignored
-        here).  The loose ``tile_cache`` / ``scheduler`` arguments win over
-        the config when both are given.
+        A :class:`~repro.backend.ComputeConfig` supplying the executor's
+        policies: ``tile_cache`` (``True`` / ``False`` / ``None`` — ``None``
+        consults ``REPRO_TILE_CACHE`` / ``REPRO_TILE_CACHE_DIR``) and
+        ``scheduler`` (``"serial"`` / ``"pool"`` / ``"stealing"`` /
+        ``"service"``, or ``None`` to consult ``REPRO_SCHEDULER``, default
+        ``pool``; ``REPRO_SCHEDULER_FAULTS`` additionally wraps named
+        schedulers in a fault injector for CI chaos runs).  Its FFT /
+        precision fields belong to the :class:`EngineSpec` each call
+        carries and are ignored here.
     """
 
     def __init__(self, num_workers: Optional[int] = None,
                  cache_dir: Optional[str] = None,
                  mp_context=None, min_shard_tiles: int = 1,
-                 tile_cache=None, scheduler=None,
+                 tile_cache: Optional[TileResultCache] = None,
+                 scheduler: Optional[Scheduler] = None,
                  compute: Optional[ComputeConfig] = None):
         if num_workers is not None and num_workers < 0:
             raise ValueError("num_workers must be non-negative")
@@ -304,16 +302,18 @@ class ShardedExecutor:
         self.cache_dir = cache_dir if cache_dir is not None else \
             os.environ.get("REPRO_KERNEL_CACHE_DIR")
         self.min_shard_tiles = int(min_shard_tiles)
-        if compute is not None:
-            if tile_cache is None:
-                tile_cache = compute.tile_cache
-            if scheduler is None:
-                scheduler = compute.scheduler
-        self.tile_cache = resolve_tile_cache(tile_cache)
-        self.scheduler = scheduler
-        if isinstance(scheduler, str):
+        if scheduler is not None and not isinstance(scheduler, Scheduler):
+            raise TypeError(
+                f"scheduler= takes a Scheduler instance, got {scheduler!r}; "
+                f"name a scheduler with compute=ComputeConfig(scheduler=)")
+        compute = compute if compute is not None else ComputeConfig()
+        self.tile_cache = attach_tile_cache(tile_cache, compute.tile_cache)
+        #: A wired Scheduler instance, a scheduler name, or None (= env).
+        self.scheduler = scheduler if scheduler is not None \
+            else compute.scheduler
+        if isinstance(self.scheduler, str):
             # Fail loudly at construction, not mid-campaign.
-            resolve_scheduler(scheduler, pool_provider=None,
+            resolve_scheduler(self.scheduler, pool_provider=None,
                               engine_provider=None, inject_faults=False)
         self._mp_context = mp_context
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -375,7 +375,8 @@ class ShardedExecutor:
         if spec.fft_workers is not None or active_workers <= 1:
             return spec
         budget = max(1, available_workers() // active_workers)
-        return dataclasses.replace(spec, fft_workers=budget)
+        return dataclasses.replace(
+            spec, compute=spec.compute.replace(fft_workers=budget))
 
     def warm(self, spec: EngineSpec) -> ExecutionEngine:
         """Build the engine in-process, persisting the bank for the workers.

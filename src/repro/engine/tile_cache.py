@@ -304,3 +304,17 @@ def resolve_tile_cache(tile_cache=None) -> Optional[TileResultCache]:
     if os.environ.get("REPRO_TILE_CACHE_DIR"):
         return default_tile_cache()
     return None
+
+
+def attach_tile_cache(instance: Optional[TileResultCache],
+                      flag: Optional[bool]) -> Optional[TileResultCache]:
+    """A constructor's tile cache: the live ``instance`` when given, else its
+    ``ComputeConfig.tile_cache`` on/off ``flag`` via :func:`resolve_tile_cache`.
+    """
+    if instance is None:
+        return resolve_tile_cache(flag)
+    if not isinstance(instance, TileResultCache):
+        raise TypeError(
+            f"tile_cache= takes a TileResultCache instance, got {instance!r}; "
+            f"switch caching on or off with compute=ComputeConfig(tile_cache=)")
+    return instance

@@ -117,14 +117,28 @@ class CampaignRequest:
         if not 0.0 < tolerance < 1.0:
             raise ValueError("tolerance must be in (0, 1)")
         target = data.get("target_cd_nm")
-        return cls(layout=layout, optics=optics, grid=grid,
-                   compute=ComputeConfig.from_json(data.get("compute") or {}),
-                   tolerance=tolerance,
-                   target_cd_nm=float(target) if target else None,
-                   guard_px=int(data["guard_px"])
-                   if data.get("guard_px") is not None else None,
-                   store_aerials=bool(data.get("store_aerials", False)),
-                   streaming=bool(data.get("streaming", False)))
+        if target is not None:
+            target = float(target)
+            if not target > 0:
+                raise ValueError(
+                    "target_cd_nm must be positive (null measures it)")
+        request = cls(layout=layout, optics=optics, grid=grid,
+                      compute=ComputeConfig.from_json(
+                          data.get("compute") or {}),
+                      tolerance=tolerance, target_cd_nm=target,
+                      guard_px=int(data["guard_px"])
+                      if data.get("guard_px") is not None else None,
+                      store_aerials=bool(data.get("store_aerials", False)),
+                      streaming=bool(data.get("streaming", False)))
+        # Resolve now, so a request the runner could not start is a 400,
+        # not an accepted job that fails later.
+        try:
+            request.optics_config()
+            request.source()
+            request.focus_exposure_grid()
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"invalid optics or grid: {exc}") from exc
+        return request
 
     # -- resolution ----------------------------------------------------- #
     def optics_config(self) -> OpticsConfig:

@@ -27,7 +27,8 @@ Campaign-scale features (PR 4):
   generator-fed streaming stitch (:mod:`repro.engine.streaming`), bounding
   peak RAM at one tile batch regardless of layout size.
 * **Content-addressed tile dedup** (PR 6) — attach a tile-result cache to
-  the executor (``ShardedExecutor(tile_cache=True)``, the CLI's
+  the executor (``ShardedExecutor(compute=ComputeConfig(tile_cache=True))``,
+  a ``TileResultCache`` on its ``tile_cache=``, the CLI's
   ``--tile-cache``, or ``REPRO_TILE_CACHE`` / ``REPRO_TILE_CACHE_DIR``) and
   each focus images only its *unique* tile contents (each focus's kernel
   fingerprint keys its own namespace); with a disk tier, resumed runs hit
@@ -45,7 +46,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from ..backend import ComputeConfig, apply_legacy_kwargs
+from ..backend import ComputeConfig
 from ..engine.sharded import EngineSpec, ShardedExecutor
 from ..engine.tiling import extract_tiles, stitch_tiles
 from ..optics.process_window import (
@@ -142,9 +143,6 @@ class ProcessWindowSweep:
         environment defaults at construction) — and its ``tile_cache`` /
         ``scheduler`` fields configure the default executor (an explicitly
         passed ``executor`` keeps its own policy).
-    fft_backend / fft_workers / precision:
-        Deprecated loose spellings of the ``compute`` fields (kept working
-        through the shim; explicit kwargs win over the config).
     """
 
     def __init__(self, config: OpticsConfig, source: Optional[Source] = None,
@@ -152,16 +150,10 @@ class ProcessWindowSweep:
                  executor: Optional[ShardedExecutor] = None,
                  cache_dir: Optional[str] = None,
                  cd_row: Optional[int] = None,
-                 fft_backend: Optional[str] = None,
-                 fft_workers: Optional[int] = None,
-                 precision: Optional[str] = None,
                  compute: Optional[ComputeConfig] = None):
-        compute = apply_legacy_kwargs(compute, "ProcessWindowSweep",
-                                      fft_backend=fft_backend,
-                                      fft_workers=fft_workers,
-                                      precision=precision)
         #: The names-only compute policy every derived spec carries.
-        self.compute = compute
+        self.compute = compute = compute if compute is not None \
+            else ComputeConfig()
         self.config = config
         self.executor = executor if executor is not None else \
             ShardedExecutor(num_workers=1, cache_dir=cache_dir,

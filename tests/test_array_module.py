@@ -32,6 +32,7 @@ from hypothesis.extra.numpy import arrays
 from repro.backend import (
     FLOAT32,
     FLOAT64,
+    ComputeConfig,
     DeviceMixingError,
     HostArrayModule,
     NumpyFFTBackend,
@@ -71,11 +72,13 @@ def fakegpu():
 
 def make_engines(**kwargs):
     numpy_engine = ExecutionEngine(KERNELS, tile_size_px=32,
-                                   fft_backend="numpy", tile_cache=False,
+                                   compute=ComputeConfig(fft_backend="numpy",
+                                                         tile_cache=False),
                                    **kwargs)
     fake_engine = ExecutionEngine(KERNELS, tile_size_px=32,
-                                  fft_backend=get_backend("fakegpu"),
-                                  tile_cache=False, **kwargs)
+                                  compute=ComputeConfig(fft_backend="fakegpu",
+                                                        tile_cache=False),
+                                  **kwargs)
     return numpy_engine, fake_engine
 
 
@@ -91,8 +94,9 @@ class TestTransferCounts:
         _, engine = make_engines()
         masks = RNG.random((6, 32, 32))
         # A chunk budget of one tile: every tile is its own chunk.
-        tiny = ExecutionEngine(KERNELS, tile_size_px=32, fft_backend=fakegpu,
-                               max_chunk_bytes=1, tile_cache=False)
+        tiny = ExecutionEngine(KERNELS, tile_size_px=32, max_chunk_bytes=1,
+                               compute=ComputeConfig(fft_backend="fakegpu",
+                                                     tile_cache=False))
         tiny.aerial_batch(masks)
         stats = fakegpu.transfer_stats
         assert stats.uploads == 6 + 1  # one per chunk + the bank, once
@@ -111,8 +115,9 @@ class TestTransferCounts:
         # 3 chunk uploads + exactly 1 bank upload across all batches.
         assert fakegpu.transfer_stats.uploads == 3 + 1
         # A second engine sharing the bank shares the device copy too.
-        other = ExecutionEngine(KERNELS, tile_size_px=32, fft_backend=fakegpu,
-                                tile_cache=False)
+        other = ExecutionEngine(KERNELS, tile_size_px=32,
+                                compute=ComputeConfig(fft_backend="fakegpu",
+                                                      tile_cache=False))
         other.aerial_batch(masks)
         assert fakegpu.transfer_stats.uploads == 4 + 1
 
@@ -138,12 +143,13 @@ class TestTransferCounts:
             masks.size * np.dtype(np.float64).itemsize
 
     def test_sharded_serial_path_stays_resident(self, fakegpu, tmp_path):
-        spec = EngineSpec(config=CONFIG, fft_backend="fakegpu",
-                          cache_dir=str(tmp_path))
+        spec = EngineSpec(config=CONFIG, cache_dir=str(tmp_path),
+                          compute=ComputeConfig(fft_backend="fakegpu"))
         executor = ShardedExecutor(num_workers=0, cache_dir=str(tmp_path))
         masks = RNG.random((4, 32, 32))
         reference = ShardedExecutor(num_workers=0).aerial_batch(
-            EngineSpec(config=CONFIG, fft_backend="numpy"), masks)
+            EngineSpec(config=CONFIG,
+                       compute=ComputeConfig(fft_backend="numpy")), masks)
         fakegpu.transfer_stats.reset()
         _DEVICE_BANKS.clear()
         result = executor.aerial_batch(spec, masks)
@@ -306,18 +312,20 @@ class TestAutoPrecision:
             resolve_precision("auto")
 
     def test_engine_constructor_resolves_auto(self):
-        engine = ExecutionEngine(KERNELS, tile_size_px=32, precision="auto",
-                                 tile_cache=False)
+        engine = ExecutionEngine(KERNELS, tile_size_px=32,
+                                 compute=ComputeConfig(precision="auto",
+                                                       tile_cache=False))
         assert engine.precision in (FLOAT32, FLOAT64)
         assert engine.kernels.dtype == engine.precision.complex_dtype
 
     def test_for_optics_resolves_auto(self):
-        engine = ExecutionEngine.for_optics(CONFIG, precision="auto")
+        engine = ExecutionEngine.for_optics(
+            CONFIG, compute=ComputeConfig(precision="auto"))
         assert engine.precision in (FLOAT32, FLOAT64)
 
     def test_engine_spec_ships_concrete_name_to_workers(self, tmp_path):
-        spec = EngineSpec(config=CONFIG, precision="auto",
-                          cache_dir=str(tmp_path))
+        spec = EngineSpec(config=CONFIG, cache_dir=str(tmp_path),
+                          compute=ComputeConfig(precision="auto"))
         assert spec.precision in ("float32", "float64")
         assert "auto" not in spec.fingerprint()
         # The spec's engine runs at exactly the precision the parent chose.

@@ -29,6 +29,7 @@ from hypothesis.extra.numpy import arrays
 from repro.backend import (
     FLOAT32,
     FLOAT64,
+    ComputeConfig,
     FFTBackend,
     NumpyFFTBackend,
     available_backends,
@@ -111,7 +112,8 @@ class TestRegistry:
 
     def test_engine_spec_rejects_bogus_backend(self):
         with pytest.raises(ValueError, match="registered backends"):
-            EngineSpec(config=FINE, fft_backend="warpdrive")
+            EngineSpec(config=FINE,
+                       compute=ComputeConfig(fft_backend="warpdrive"))
 
 
 class TestPrecisionPolicy:
@@ -268,8 +270,9 @@ class TestFloat32Accuracy:
         cache = KernelBankCache()
         ref = ExecutionEngine.for_optics(FINE, source=SOURCE, cache=cache) \
             .image_layout(layout, tile_px=64, guard_px=16)
-        low = ExecutionEngine.for_optics(FINE, source=SOURCE, cache=cache,
-                                         precision="float32") \
+        low = ExecutionEngine.for_optics(
+            FINE, source=SOURCE, cache=cache,
+            compute=ComputeConfig(precision="float32")) \
             .image_layout(layout, tile_px=64, guard_px=16)
         assert low.aerial.dtype == np.float32
         scale = float(ref.aerial.max())
@@ -278,17 +281,11 @@ class TestFloat32Accuracy:
         # threshold; on this fixture they agree everywhere.
         assert (low.resist != ref.resist).mean() < 1e-3
 
-    def test_engine_rejects_workers_with_backend_instance(self, kernels):
-        """fft_workers cannot silently miss an already-built backend."""
-        with pytest.raises(ValueError, match="fft_workers"):
-            ExecutionEngine(kernels, fft_backend=get_backend("numpy"),
-                            fft_workers=4)
-
     def test_engine_preserves_policy_through_truncate(self):
         cache = KernelBankCache()
-        engine = ExecutionEngine.for_optics(FINE, source=SOURCE, cache=cache,
-                                            fft_backend="numpy",
-                                            precision="float32")
+        engine = ExecutionEngine.for_optics(
+            FINE, source=SOURCE, cache=cache,
+            compute=ComputeConfig(fft_backend="numpy", precision="float32"))
         truncated = engine.truncate(4)
         assert truncated.precision is FLOAT32
         assert truncated.backend.name == "numpy"
@@ -302,8 +299,8 @@ class TestEngineSpecComputePolicy:
         assert spec.precision == "float64"
 
     def test_spec_roundtrips_backend_and_precision(self):
-        spec = EngineSpec(config=FINE, source=SOURCE, fft_backend="numpy",
-                          fft_workers=3, precision="float32")
+        spec = EngineSpec(config=FINE, source=SOURCE, compute=ComputeConfig(
+            fft_backend="numpy", fft_workers=3, precision="float32"))
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.fft_backend == "numpy"
         assert clone.fft_workers == 3
@@ -314,15 +311,37 @@ class TestEngineSpecComputePolicy:
         assert engine.precision is FLOAT32
         assert engine.kernels.dtype == np.complex64
 
+    def test_fingerprints_pin_campaign_identities(self):
+        """Campaign stores embed these strings: a change refuses every
+        existing store's resume."""
+        optics = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
+        spec = EngineSpec(config=optics, compute=ComputeConfig(
+            fft_backend="numpy", fft_workers=3, precision="float32"))
+        base = ("ee17b5b6b874c6a65acc846e15e30a4989cb173f|order=24|band=True"
+                "|chunk=268435456|backend=numpy|workers=3|prec=float32")
+        assert spec.fingerprint() == base
+        dosed = EngineSpec(config=optics, dose=1.05, compute=ComputeConfig(
+            fft_backend="numpy", fft_workers=3, precision="float32"))
+        assert dosed.fingerprint() == base + "|dose=1.05"
+        assert spec.with_condition(40.0, 0.9).fingerprint() == (
+            "930d8e7a0b1dc5852898ed66a09643e2cf81d489|order=24|band=True"
+            "|chunk=268435456|backend=numpy|workers=3|prec=float32|dose=0.9")
+        for original in (spec, dosed):
+            clone = pickle.loads(pickle.dumps(original))
+            assert clone == original
+            assert hash(clone) == hash(original)
+            assert clone.fingerprint() == original.fingerprint()
+
     def test_policy_changes_fingerprint(self):
-        base = EngineSpec(config=FINE, source=SOURCE, fft_backend="numpy")
+        base = EngineSpec(config=FINE, source=SOURCE,
+                          compute=ComputeConfig(fft_backend="numpy"))
         assert base.fingerprint() != \
-            EngineSpec(config=FINE, source=SOURCE, fft_backend="numpy",
-                       precision="float32").fingerprint()
+            EngineSpec(config=FINE, source=SOURCE, compute=ComputeConfig(
+                fft_backend="numpy", precision="float32")).fingerprint()
 
     def test_with_focus_keeps_policy(self):
-        spec = EngineSpec(config=FINE, source=SOURCE, fft_backend="numpy",
-                          precision="float32")
+        spec = EngineSpec(config=FINE, source=SOURCE, compute=ComputeConfig(
+            fft_backend="numpy", precision="float32"))
         refocused = spec.with_focus(40.0)
         assert refocused.fft_backend == "numpy"
         assert refocused.precision == "float32"

@@ -1,28 +1,21 @@
-"""The unified ComputeConfig policy object and its deprecation shim.
+"""The unified ComputeConfig policy object: the one compute-policy spelling.
 
 Pins the API-redesign contract: one serialisable object carries every
-compute-policy knob through the engine, executor, sweep and CLI layers;
-legacy loose kwargs keep working behind a DeprecationWarning; migrated and
-legacy spellings produce bit-for-bit identical engines and equal specs.
+compute-policy knob through the engine, executor, sweep and CLI layers, and
+no constructor takes those knobs as loose keyword arguments.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.backend import ComputeConfig, apply_legacy_kwargs
+from repro.backend import ComputeConfig
 from repro.cli import _compute_from_args, build_parser
-from repro.engine import EngineSpec, ExecutionEngine, ShardedExecutor
+from repro.engine import EngineSpec, ShardedExecutor
 from repro.optics.simulator import OpticsConfig
 
 OPTICS = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
-
-
-def make_masks(count: int = 2) -> np.ndarray:
-    rng = np.random.default_rng(5)
-    return (rng.random((count, 32, 32)) > 0.6).astype(float)
 
 
 class TestComputeConfig:
@@ -85,53 +78,21 @@ class TestComputeConfig:
 
 
 class TestLegacyShim:
-    def test_legacy_kwargs_warn_and_override(self):
-        with pytest.warns(DeprecationWarning, match="fft_backend"):
-            merged = apply_legacy_kwargs(
-                ComputeConfig(precision="float64"), "Caller",
-                fft_backend="numpy", fft_workers=None, precision=None)
-        assert merged == ComputeConfig(fft_backend="numpy",
-                                       precision="float64")
-
-    def test_no_legacy_kwargs_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            merged = apply_legacy_kwargs(None, "Caller", fft_backend=None)
-        assert merged == ComputeConfig()
-
-    def test_engine_legacy_kwargs_warn(self):
-        bank = np.zeros((1, 9, 9), dtype=complex)
-        bank[0, 4, 4] = 1.0
-        with pytest.warns(DeprecationWarning, match="ExecutionEngine"):
-            ExecutionEngine(bank, fft_backend="numpy")
-
-    def test_engine_compute_kwarg_is_silent_and_equivalent(self):
-        masks = make_masks()
-        with pytest.warns(DeprecationWarning):
-            legacy = ExecutionEngine.for_optics(
-                OPTICS, fft_backend="numpy", precision="float32")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            unified = ExecutionEngine.for_optics(
-                OPTICS, compute=ComputeConfig(fft_backend="numpy",
-                                              precision="float32"))
-        assert unified.backend.name == legacy.backend.name
-        assert unified.precision.name == legacy.precision.name
-        np.testing.assert_array_equal(unified.aerial_batch(masks),
-                                      legacy.aerial_batch(masks))
+    """What replaced the legacy per-field kwargs: ``compute=`` alone."""
 
     def test_engine_spec_equal_and_same_fingerprint_both_ways(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            via_compute = EngineSpec(
-                config=OPTICS, compute=ComputeConfig(fft_backend="numpy",
-                                                     precision="float32"))
-        via_fields = EngineSpec(config=OPTICS, fft_backend="numpy",
-                                precision="float32")
-        assert via_compute == via_fields
-        assert via_compute.fingerprint() == via_fields.fingerprint()
-        # construction-time convenience only: nothing rides along
-        assert via_compute.compute is None
+        via_imaging = EngineSpec(
+            config=OPTICS, compute=ComputeConfig(fft_backend="numpy",
+                                                 precision="float32"))
+        via_full = EngineSpec(
+            config=OPTICS, compute=ComputeConfig(
+                fft_backend="numpy", precision="float32", tile_cache=True,
+                scheduler="pool"))
+        assert via_imaging == via_full
+        assert via_imaging.fingerprint() == via_full.fingerprint()
+        # executor-level policies are not part of the worker recipe
+        assert via_full.compute == ComputeConfig(fft_backend="numpy",
+                                                 precision="float32")
 
     def test_sharded_executor_takes_policy_from_compute(self):
         executor = ShardedExecutor(
@@ -142,14 +103,11 @@ class TestLegacyShim:
             assert executor.tile_cache is not None
         finally:
             executor.close()
-        # explicit arguments beat the config
-        executor = ShardedExecutor(
-            num_workers=1, tile_cache=False,
-            compute=ComputeConfig(tile_cache=True))
-        try:
-            assert executor.tile_cache is None
-        finally:
-            executor.close()
+        # names are spelled in the config only
+        with pytest.raises(TypeError, match="ComputeConfig"):
+            ShardedExecutor(num_workers=1, tile_cache=False)
+        with pytest.raises(TypeError, match="ComputeConfig"):
+            ShardedExecutor(num_workers=1, scheduler="serial")
 
 
 class TestCliComputeConfig:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backend import ComputeConfig
 from repro.core import KernelBankEngine, NithoConfig, NithoModel, NithoTrainer
 from repro.metrics import aerial_metrics
 
@@ -183,6 +184,21 @@ class TestKernelBankEngine:
         engine = KernelBankEngine(tiny_simulator.kernels.kernels)
         with pytest.raises(ValueError, match="only holds"):
             engine.truncate(engine.order + 1)
+
+    def test_truncate_keeps_cache_off_and_fft_workers(self, tiny_simulator,
+                                                      monkeypatch):
+        """The truncated engine keeps its parent's compute policy instead of
+        re-reading REPRO_TILE_CACHE."""
+        monkeypatch.setenv("REPRO_TILE_CACHE", "1")
+        engine = KernelBankEngine(
+            tiny_simulator.kernels.kernels,
+            compute=ComputeConfig(fft_backend="numpy", fft_workers=2,
+                                  tile_cache=False))
+        truncated = engine.truncate(2)
+        assert isinstance(truncated, KernelBankEngine)
+        assert truncated.tile_cache is None
+        assert truncated.compute.fft_workers == 2
+        assert truncated.backend is engine.backend
 
     def test_kernel_energy_sorted_descending_for_golden(self, tiny_simulator):
         engine = KernelBankEngine(tiny_simulator.kernels.kernels)

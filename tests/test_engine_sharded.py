@@ -22,6 +22,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from repro.backend import ComputeConfig
 from repro.engine import (
     EngineSpec,
     KernelBankCache,
@@ -91,7 +92,8 @@ class TestShardedExecutor:
         if backend_name == "scipy":
             pytest.importorskip("scipy.fft")
         policy_spec = EngineSpec(config=CONFIG, source=SOURCE,
-                                 fft_backend=backend_name, precision=precision)
+                                 compute=ComputeConfig(fft_backend=backend_name,
+                                                       precision=precision))
         serial = ShardedExecutor(num_workers=1, cache_dir=str(tmp_path))
         reference = serial.aerial_batch(policy_spec, masks)
         with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path)) as sharded:
@@ -109,7 +111,8 @@ class TestShardedExecutor:
         # budget divides over the shards that actually run.
         assert executor._worker_spec(spec, active_workers=2).fft_workers == \
             max(1, available_workers() // 2)
-        pinned = EngineSpec(config=CONFIG, source=SOURCE, fft_workers=2)
+        pinned = EngineSpec(config=CONFIG, source=SOURCE,
+                            compute=ComputeConfig(fft_workers=2))
         assert executor._worker_spec(pinned, 4).fft_workers == 2  # explicit wins
 
     def test_sharded_equals_serial_bit_for_bit(self, spec, masks, tmp_path):

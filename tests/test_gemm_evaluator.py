@@ -221,8 +221,9 @@ class TestResidency:
     def test_engine_operators_share_the_bank_upload(self, fakegpu):
         kernels = random_kernels(3, 7, 7)
         masks = RNG.random((6, 64, 64))
-        engine = ExecutionEngine(kernels, tile_size_px=64, fft_backend=fakegpu,
-                                 max_chunk_bytes=1, compute=NO_CACHE)
+        engine = ExecutionEngine(kernels, tile_size_px=64, max_chunk_bytes=1,
+                                 compute=NO_CACHE.replace(
+                                     fft_backend="fakegpu"))
         assert engine.evaluator((64, 64)) == "gemm"
         reference = ExecutionEngine(kernels, tile_size_px=64,
                                     compute=HOST).aerial_batch(masks)

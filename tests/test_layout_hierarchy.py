@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import ComputeConfig
 from repro.engine import (
     EngineSpec,
     ExecutionEngine,
@@ -279,8 +280,8 @@ class TestEngineWiring:
                                          backend_name, precision):
         if backend_name == "scipy":
             pytest.importorskip("scipy.fft")
-        engine = ExecutionEngine.for_optics(CONFIG, fft_backend=backend_name,
-                                            precision=precision)
+        engine = ExecutionEngine.for_optics(CONFIG, compute=ComputeConfig(
+            fft_backend=backend_name, precision=precision))
         ref = engine.image_layout(hier_dense, tile_px=32, guard_px=8)
         for kwargs in ({}, {"batch_tiles": 2}):
             imaged = engine.image_layout(hier_reader, tile_px=32,
@@ -310,7 +311,8 @@ class TestTileCacheSynergy:
         assert reader.shape == (256, 256)  # 8 x 8 tiles of 32 px
         cache = TileResultCache()
         cached_engine = ExecutionEngine.for_optics(CONFIG, tile_cache=cache)
-        plain_engine = ExecutionEngine.for_optics(CONFIG, tile_cache=False)
+        plain_engine = ExecutionEngine.for_optics(
+            CONFIG, compute=ComputeConfig(tile_cache=False))
         result = cached_engine.image_layout(reader, tile_px=32, guard_px=0)
         reference = plain_engine.image_layout(reader, tile_px=32, guard_px=0)
         np.testing.assert_array_equal(result.aerial, reference.aerial)

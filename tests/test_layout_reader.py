@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import ComputeConfig
 from repro.engine import (
     EngineSpec,
     ExecutionEngine,
@@ -277,8 +278,8 @@ class TestEngineWiring:
         if backend_name == "scipy":
             pytest.importorskip("scipy.fft")
         config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
-        engine = ExecutionEngine.for_optics(config, fft_backend=backend_name,
-                                            precision=precision)
+        engine = ExecutionEngine.for_optics(config, compute=ComputeConfig(
+            fft_backend=backend_name, precision=precision))
         ref = engine.image_layout(dense, tile_px=32, guard_px=8)
         for kwargs in ({}, {"batch_tiles": 2}):
             imaged = engine.image_layout(geometry_reader, tile_px=32,

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import ComputeConfig
 from repro.engine import (
     EngineSpec,
     FaultInjectingScheduler,
@@ -88,7 +89,8 @@ def test_sharded_equals_serial_bit_for_bit(scheduler, mp_context, spec,
     reference = ShardedExecutor(
         num_workers=1, cache_dir=str(tmp_path)).aerial_batch(spec, masks)
     with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path),
-                         mp_context=context, scheduler=scheduler) as sharded:
+                         mp_context=context,
+                         compute=ComputeConfig(scheduler=scheduler)) as sharded:
         result = sharded.aerial_batch(spec, masks)
         assert sharded.last_used_pool == (scheduler != "serial")
     np.testing.assert_array_equal(result, reference)
@@ -107,7 +109,8 @@ def test_focus_dose_shard_campaign_matches_serial(scheduler, mp_context,
     reference = {key: serial.warm(cond_spec).aerial_batch(masks)
                  for key, cond_spec in conditions}
     with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path),
-                         mp_context=context, scheduler=scheduler) as sharded:
+                         mp_context=context,
+                         compute=ComputeConfig(scheduler=scheduler)) as sharded:
         results = dict(sharded.run_conditions(conditions, masks))
     assert set(results) == set(reference)
     for key, expected in reference.items():
@@ -270,7 +273,7 @@ class TestSchedulerInterface:
         with pytest.raises(ValueError, match="stealing"):
             resolve_scheduler("bogus", None, None)
         with pytest.raises(ValueError):
-            ShardedExecutor(scheduler="bogus")
+            ShardedExecutor(compute=ComputeConfig(scheduler="bogus"))
 
     def test_resolve_scheduler_honours_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCHEDULER", "stealing")
@@ -447,7 +450,8 @@ class TestFaultInjection:
         reference = self._reference(specs, masks, tmp_path)
         monkeypatch.setenv("REPRO_SCHEDULER_FAULTS", "break_after=1")
         with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path),
-                             scheduler="pool") as executor:
+                             compute=ComputeConfig(scheduler="pool"),
+                             ) as executor:
             scheduler, owned = executor._make_scheduler()
             assert owned and isinstance(scheduler, FaultInjectingScheduler)
             results = dict(executor.run_conditions(list(enumerate(specs)),

@@ -75,6 +75,27 @@ class TestRequestValidation:
             CampaignRequest.from_dict(
                 make_request(layout={"kind": "hologram"}))
 
+    @pytest.mark.parametrize("overrides", [
+        {"optics": {"tile_size_px": 64, "bogus": 1}},
+        {"optics": {"tile_size_px": 64, "source": "warp"}},
+        {"optics": {"tile_size_px": 64, "pixel_size_nm": "x"}},
+        {"optics": {"tile_size_px": -3}},
+        {"grid": {"focus_nm": ["x"], "dose": DOSES}},
+        {"target_cd_nm": 0},
+        {"target_cd_nm": -5.0},
+    ], ids=["unknown-optics-field", "unknown-source", "pixel-size-not-number",
+            "negative-tile", "focus-not-number", "zero-target",
+            "negative-target"])
+    def test_rejects_campaigns_the_runner_cannot_start(self, overrides):
+        with pytest.raises(ValueError):
+            CampaignRequest.from_dict(make_request(**overrides))
+
+    def test_null_target_still_measures(self):
+        parsed = CampaignRequest.from_dict(make_request(target_cd_nm=None))
+        assert parsed.target_cd_nm is None
+        assert CampaignRequest.from_dict(
+            make_request(target_cd_nm=90)).target_cd_nm == 90.0
+
     def test_resolves_layouts_like_the_cli(self):
         parsed = CampaignRequest.from_dict(make_request(seed=3))
         layout = parsed.resolve_layout()
@@ -117,6 +138,11 @@ class TestHttpRoundTrip:
         with pytest.raises(ServiceError) as excinfo:
             client.submit({"layout": {"kind": "array"}})
         assert excinfo.value.status == 400
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(make_request(
+                optics={"tile_size_px": 64, "bogus": 1}))
+        assert excinfo.value.status == 400
+        assert "bogus" in str(excinfo.value)
         job = client.submit(make_request())
         assert any(entry["id"] == job["id"] for entry in client.list())
         client.wait(job["id"])

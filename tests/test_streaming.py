@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import ComputeConfig
 from repro.engine import (
     EngineSpec,
     TilingSpec,
@@ -107,8 +108,8 @@ class TestStreamingEqualsInMemory:
         if backend_name == "scipy":
             pytest.importorskip("scipy.fft")
         engine = EngineSpec(config=CONFIG, source=SOURCE,
-                            fft_backend=backend_name,
-                            precision=precision).build()
+                            compute=ComputeConfig(fft_backend=backend_name,
+                                                  precision=precision)).build()
         reference = reference_image_layout(engine, layout, guard_px=guard_px)
         streamed = engine.image_layout(layout, guard_px=guard_px,
                                        batch_tiles=3)

@@ -73,10 +73,11 @@ def counting(function):
 def engine_pair(backend, precision):
     """(uncached, cached) engines sharing optics; kernel banks come from the
     process-wide kernel cache, so each pair is built once per session."""
+    compute = ComputeConfig(fft_backend=backend, precision=precision)
     build = functools.partial(ExecutionEngine.for_optics, CONFIG,
-                              source=SOURCE, fft_backend=backend,
-                              precision=precision)
-    return build(tile_cache=False), build(tile_cache=TileResultCache())
+                              source=SOURCE)
+    return (build(compute=compute.replace(tile_cache=False)),
+            build(compute=compute, tile_cache=TileResultCache()))
 
 
 class TestTileDigest:
@@ -428,7 +429,8 @@ class TestCachedImagingBitForBit:
         layout = np.zeros((80, 110))
         layout[10:70, 20:28] = 1.0
         layout[30:38, 40:100] = 1.0
-        spec = EngineSpec(config=CONFIG, source=SOURCE, precision=precision)
+        spec = EngineSpec(config=CONFIG, source=SOURCE,
+                          compute=ComputeConfig(precision=precision))
         cache = TileResultCache()
         reference = reference_image_layout(spec.build(), layout, guard_px=8)
         with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path),
